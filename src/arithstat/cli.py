@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,7 @@ from .density import (
     ac_theta_block_mean,
     asc_theta_verdict,
     asc_verdict,
+    check_grid,
     density_curve,
     exceedance_prefix,
     ntheta_norm,
@@ -42,8 +43,12 @@ from .density import (
 from .lacunary import (
     LacunaryScheme,
     block_intersections,
+    factorial_points,
+    first_blocks,
+    geometric_points,
     is_refinement,
     make_scheme,
+    polynomial_points,
     q_ratio_stats,
     refinement_map,
 )
@@ -72,6 +77,11 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 
 CSV_HEADER = ("axis", "index", "epsilon", "witness_n", "density")
+
+#: Deepest nesting of `scaled` and `sum` nodes accepted in a generator spec.
+MAX_SPEC_DEPTH = 100
+#: Errors of malformed JSON values, such as a number too large for a float.
+_VALUE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 class InputError(Exception):
@@ -104,21 +114,8 @@ class RunConfig:
     def to_dict(self) -> dict:
         # The output directory is deliberately not serialized: reports must be
         # byte-identical for the same computation regardless of where they land.
-        return {
-            "command": self.command,
-            "input": self.input,
-            "schemes": list(self.schemes),
-            "length": self.length,
-            "eps_grid": list(self.grid),
-            "n_max": self.n_max,
-            "tail_window": self.tail_window,
-            "tol": self.tol,
-            "tol_hi": self.tol_hi,
-            "growth": self.growth,
-            "seed": self.seed,
-            "instances": self.instances,
-            "inject_fault": self.inject_fault,
-        }
+        return {("eps_grid" if k == "grid" else k): list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items() if k != "out"}
 
     def policy(self) -> VerdictPolicy:
         try:
@@ -134,12 +131,9 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_GRID
     try:
-        vals = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ConfigError(f"cannot parse epsilon grid {text!r}") from None
-    if not vals or any(v <= 0 for v in vals) or any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("epsilon grid must be strictly decreasing positive numbers")
-    return vals
+        return check_grid([float(v) for v in text.split(",") if v.strip()])
+    except ValueError as e:
+        raise ConfigError(f"bad epsilon grid {text!r}: {e}") from None
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -177,6 +171,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def parse_generator_spec(obj) -> GeneratorSpec:
     """JSON object -> generator spec. See README for the vocabulary."""
+    return _parse_spec(obj, 1)
+
+
+def _parse_spec(obj, depth: int) -> GeneratorSpec:
+    if depth > MAX_SPEC_DEPTH:
+        raise InputError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict):
         raise InputError(f"generator spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
@@ -197,13 +197,13 @@ def parse_generator_spec(obj) -> GeneratorSpec:
                 seed=int(obj.get("seed", 0)),
             )
         if kind == "scaled":
-            return Scaled(float(obj["factor"]), parse_generator_spec(obj["child"]))
+            return Scaled(float(obj["factor"]), _parse_spec(obj["child"], depth + 1))
         if kind == "sum":
-            return Summed(parse_generator_spec(obj["left"]),
-                          parse_generator_spec(obj["right"]))
+            return Summed(_parse_spec(obj["left"], depth + 1),
+                          _parse_spec(obj["right"], depth + 1))
     except InputError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except _VALUE_ERRORS as e:
         raise InputError(f"bad {kind!r} spec: {e}") from None
     raise InputError(f"unknown generator kind {kind!r}")
 
@@ -223,43 +223,32 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
             return make_scheme(int(p) for p in obj["points"])
         if "geometric" in obj:
             g = obj["geometric"]
-            ratio, count = float(g["ratio"]), int(g["count"])
-            start = int(g.get("start", 1))
-            if ratio <= 1:
-                raise InputError("geometric ratio must exceed 1")
-            if count < 1 or start < 1:
-                raise InputError("geometric count and start must be >= 1")
-            pts = [start]
-            for j in range(1, count + 1):
-                pts.append(max(pts[-1] + 1, int(start * ratio**j)))
-            return make_scheme(pts)
+            points = geometric_points(float(g["ratio"]), int(g.get("start", 1)))
+            return first_blocks(points, int(g["count"]))
         if "polynomial" in obj:
             g = obj["polynomial"]
-            degree, count = int(g["degree"]), int(g["count"])
-            if degree < 1 or count < 1:
-                raise InputError("polynomial degree and count must be >= 1")
-            return make_scheme((r + 1) ** degree for r in range(count + 1))
+            return first_blocks(polynomial_points(int(g["degree"])), int(g["count"]))
         if "factorial" in obj:
-            count = int(obj["factorial"]["count"])
-            if count < 1:
-                raise InputError("factorial count must be >= 1")
-            pts, p = [1], 1
-            for r in range(2, count + 2):
-                p *= r
-                pts.append(p)
-            return make_scheme(pts)
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
+            return first_blocks(factorial_points(), int(obj["factorial"]["count"]))
+    except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
     raise InputError("scheme spec needs 'points', 'geometric', 'polynomial', or 'factorial'")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e}") from None
+
+
 def _read_json(path: Path):
     try:
-        return json.loads(path.read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InputError(f"{path} is not valid JSON: {e}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests too deeply") from None
 
 
 def load_sequence(path: str, length: int | None) -> SeqSample:
@@ -271,8 +260,11 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
         spec = parse_generator_spec(_read_json(p))
         if length is None:
             raise ConfigError("--length is required with a generator spec input")
-        return generate(spec, length)
-    lines = [ln.strip() for ln in p.read_text().splitlines() if ln.strip()]
+        try:
+            return generate(spec, length)
+        except ValueError as e:
+            raise InputError(f"{p}: {e}") from None
+    lines = [ln.strip() for ln in _read_text(p).splitlines() if ln.strip()]
     if not lines:
         raise InputError(f"{p} holds no values")
     try:
@@ -293,10 +285,7 @@ def load_scheme(path: str) -> LacunaryScheme:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"no such file: {p}")
-    try:
-        return parse_scheme_spec(_read_json(p))
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    return parse_scheme_spec(_read_json(p))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -306,14 +295,12 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_curves(path: Path, curves) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for c in curves:
-            for idx, val in c.points:
-                w.writerow((c.axis, idx, c.epsilon, c.witness, val))
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +317,12 @@ def cmd_analyze(cfg: RunConfig) -> None:
         theta = asc_theta_verdict(x, scheme, cfg.grid, policy) if scheme else None
         curves = [density_curve(x, asc.evaluated_n, e, "prefix", growth=cfg.growth)
                   for e in cfg.grid]
-        block_means = None
-        norm = None
-        if scheme is not None and theta is not None:
+        block_means = norm = None
+        if theta is not None:
             curves += [density_curve(x, theta.evaluated_n, e, "block", scheme)
                        for e in cfg.grid]
-            avail = scheme.blocks_within(x.length)
             block_means = [ac_theta_block_mean(x, scheme, theta.evaluated_n, r)
-                           for r in range(1, avail + 1)]
+                           for r in range(1, scheme.blocks_within(x.length) + 1)]
             norm = ntheta_norm(x, scheme)
     except ValueError as e:
         raise ConfigError(str(e)) from None
@@ -356,7 +341,8 @@ def cmd_analyze(cfg: RunConfig) -> None:
         "ntheta_norm": norm,
     }
     _write_json(out / "report.json", report)
-    _write_curves(out / "curves.csv", curves)
+    _write_csv(out / "curves.csv", CSV_HEADER,
+               ((c.axis, i, c.epsilon, c.witness, v) for c in curves for i, v in c.points))
     wit = f" (witness n = {asc.witness})" if asc.witness else ""
     print(f"asc: {asc.outcome.value}{wit}")
     if theta is not None:
@@ -386,14 +372,9 @@ def cmd_scheme(cfg: RunConfig) -> None:
             "limsup_estimate": hi,
             "advisory_flag": s.advisory_flag,
         })
-        path = out / f"scheme_{i}.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(("r", "k", "h", "q"))
-            w.writerow((0, s.points[0], "", ""))
-            for r in range(1, s.block_count + 1):
-                w.writerow((r, s.points[r], s.lengths[r - 1], s.ratios[r - 1]))
+        _write_csv(out / f"scheme_{i}.csv", ("r", "k", "h", "q"),
+                   [(0, s.points[0], "", ""),
+                    *zip(range(1, s.block_count + 1), s.points[1:], s.lengths, s.ratios)])
         print(f"scheme {i}: {s.block_count} blocks, q tail in "
               f"[{lo:g}, {hi:g}]" + (", advisory: not lacunary-looking"
                                      if s.advisory_flag else ""))
@@ -418,14 +399,6 @@ def cmd_scheme(cfg: RunConfig) -> None:
         "relation": relation,
     })
     print(f"wrote {out / 'scheme_report.json'}")
-
-
-def _dyadic_scheme(length: int) -> LacunaryScheme:
-    pts, p = [1], 2
-    while p <= length:
-        pts.append(p)
-        p *= 2
-    return make_scheme(pts)
 
 
 def _injected_scaling_report() -> CheckReport:
@@ -467,7 +440,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
     try:
         family = standard_family(length)
-        scheme = _dyadic_scheme(length)
+        scheme = make_scheme(2**j for j in range(length.bit_length()))
         experiments = {}
         for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
             exp = run_inclusion_experiment(hyp, family, scheme, grid, policy)

@@ -16,11 +16,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .kernel import SeqSample, check_witness
+from .kernel import SeqSample, check_witness, gcd_anchors
 from .density import (
     DEFAULT_GRID,
     Outcome,
     VerdictPolicy,
+    _check_eps,
     asc_theta_verdict,
     check_grid,
 )
@@ -255,14 +256,9 @@ def continuity_battery(f: RealFunction, family: Sequence[tuple[str, SeqSample]],
         else:
             status = "support"
         entries.append(BatteryEntry(name, vin.outcome, vin.witness, vout.outcome, status))
-    return ContinuityReport(
-        describe_fn(f),
-        tuple(entries),
-        sum(e.status == "support" for e in entries),
-        sum(e.status == "contradiction" for e in entries),
-        sum(e.status == "inconclusive" for e in entries),
-        sum(e.status == "skipped" for e in entries),
-    )
+    return ContinuityReport(describe_fn(f), tuple(entries), *(
+        sum(e.status == status for e in entries)
+        for status in ("support", "contradiction", "inconclusive", "skipped")))
 
 
 def closure_checks(f: RealFunction, g: RealFunction,
@@ -330,9 +326,7 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
     the approximant, and approximation error at x_m.
     """
     n = check_witness(n)
-    eps = float(eps)
-    if not math.isfinite(eps) or eps <= 0:
-        raise ValueError("epsilon must be finite and positive")
+    eps = _check_eps(eps)
     if not f_list:
         raise ValueError("f_list must not be empty")
     probe = np.unique(np.concatenate([np.asarray(domain_probe, dtype=np.float64),
@@ -359,7 +353,7 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
     avail = scheme.blocks_within(x.length)
     if avail < 1:
         raise ValueError("no block of the scheme fits inside the sample")
-    anchors = np.gcd(np.arange(1, x.length + 1), n) - 1
+    anchors = gcd_anchors(x.length, n)
     fx = apply_fn(f, x.values)
     fNx = apply_fn(fn, x.values)
     fxg, fNxg = fx[anchors], fNx[anchors]

@@ -15,7 +15,7 @@ The theorem checks in `theorems` rely on these being exact index sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -123,19 +123,29 @@ class DensityCurve:
         return tuple(v for _, v in self.points)
 
 
-def _member_tuple(mask: np.ndarray, offset: int) -> tuple[int, ...]:
-    # mask[i] corresponds to index offset + i + 1
-    return tuple(int(i) + offset + 1 for i in np.nonzero(mask)[0])
+def _block_bounds(x: SeqSample, scheme: LacunaryScheme, r: int) -> tuple[int, int]:
+    """Bounds (lo, hi] of block r, which must end inside the sample."""
+    lo, hi = scheme.block(r)
+    if hi > x.length:
+        raise ValueError(f"block {r} ends at {hi}, beyond sample length {x.length}")
+    return lo, hi
+
+
+def _exceedance_set(x: SeqSample, n: int, eps: float, axis: str, index: int,
+                    lo: int, hi: int) -> ExceedanceSet:
+    """The indices lo < m <= hi whose deviation at witness n reaches eps."""
+    n = check_witness(n)
+    eps = _check_eps(eps)
+    flags = deviations(x, n)[lo:hi] >= eps
+    members = tuple(int(i) + lo + 1 for i in np.nonzero(flags)[0])
+    return ExceedanceSet(axis, index, lo, hi, eps, n, members)
 
 
 def exceedance_prefix(x: SeqSample, n: int, eps: float, t: int) -> ExceedanceSet:
     """{m <= t : |x_m - x_<m,n>| >= eps} as an exact index set."""
-    n = check_witness(n)
-    eps = _check_eps(eps)
     if not 1 <= t <= x.length:
         raise ValueError(f"prefix length {t} outside 1..{x.length}")
-    dev = deviations(x, n)
-    return ExceedanceSet("prefix", t, 0, t, eps, n, _member_tuple(dev[:t] >= eps, 0))
+    return _exceedance_set(x, n, eps, "prefix", t, 0, t)
 
 
 def prefix_density(x: SeqSample, n: int, eps: float, t: int) -> float:
@@ -146,13 +156,7 @@ def prefix_density(x: SeqSample, n: int, eps: float, t: int) -> float:
 def block_exceedance(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
                      r: int) -> ExceedanceSet:
     """{m in block r : |x_m - x_<m,n>| >= eps} as an exact index set."""
-    n = check_witness(n)
-    eps = _check_eps(eps)
-    lo, hi = scheme.block(r)
-    if hi > x.length:
-        raise ValueError(f"block {r} ends at {hi}, beyond sample length {x.length}")
-    dev = deviations(x, n)
-    return ExceedanceSet("block", r, lo, hi, eps, n, _member_tuple(dev[lo:hi] >= eps, lo))
+    return _exceedance_set(x, n, eps, "block", r, *_block_bounds(x, scheme, r))
 
 
 def block_density(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float, r: int) -> float:
@@ -182,6 +186,40 @@ def prefix_checkpoints(length: int, growth: float = 1.3) -> tuple[int, ...]:
     return tuple(ts)
 
 
+def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
+               growth: float = 1.3, need: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The integer intervals (lo, hi] of one axis inside 1..length, as two arrays.
+
+    The prefix axis has one interval (0, t] per log-spaced checkpoint t; the
+    block axis has the blocks (k_{r-1}, k_r] that end inside the sample.
+    Raises when there are fewer than `need` of them.
+    """
+    if axis == "prefix":
+        hi = np.asarray(prefix_checkpoints(length, growth))
+        if hi.size < need:
+            raise ValueError(f"sample has {hi.size} checkpoints, fewer than {need}")
+        return np.zeros_like(hi), hi
+    if axis == "block":
+        if scheme is None:
+            raise ValueError("block axis needs a scheme")
+        avail = scheme.blocks_within(length)
+        if avail < need:
+            raise ValueError(f"{avail} blocks of the scheme fit the sample, fewer than {need}")
+        pts = np.asarray(scheme.points[: avail + 1])
+        return pts[:-1], pts[1:]
+    raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
+
+
+def _interval_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Sum of values[m - 1] over lo < m <= hi, for each interval (lo, hi].
+
+    `values` holds one flag or number per index m = 1..T; flags sum to exact
+    integer counts.
+    """
+    cum = np.cumsum(values)
+    return cum[hi - 1] - np.where(lo > 0, cum[lo - 1], 0)
+
+
 def density_curve(x: SeqSample, n: int, eps: float, axis: str,
                   scheme: LacunaryScheme | None = None,
                   growth: float = 1.3) -> DensityCurve:
@@ -192,25 +230,10 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     """
     n = check_witness(n)
     eps = _check_eps(eps)
-    dev = deviations(x, n)
-    cum = np.cumsum(dev >= eps)
-    if axis == "prefix":
-        ts = np.asarray(prefix_checkpoints(x.length, growth))
-        vals = cum[ts - 1] / ts
-        points = tuple(zip((int(t) for t in ts), (float(v) for v in vals)))
-    elif axis == "block":
-        if scheme is None:
-            raise ValueError("block axis needs a scheme")
-        avail = scheme.blocks_within(x.length)
-        if avail < 1:
-            raise ValueError("no block of the scheme fits inside the sample")
-        pts = np.asarray(scheme.points[: avail + 1])
-        counts = cum[pts[1:] - 1] - cum[pts[:-1] - 1]
-        vals = counts / (pts[1:] - pts[:-1])
-        points = tuple((r + 1, float(v)) for r, v in enumerate(vals))
-    else:
-        raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
-    return DensityCurve(axis, eps, n, points)
+    lo, hi = _intervals(x.length, axis, scheme, growth)
+    vals = _interval_sums(deviations(x, n) >= eps, lo, hi) / (hi - lo)
+    index = hi if axis == "prefix" else range(1, hi.size + 1)
+    return DensityCurve(axis, eps, n, tuple((int(i), float(v)) for i, v in zip(index, vals)))
 
 
 def stat_prefix_density(x: SeqSample, level: float, eps: float, t: int) -> float:
@@ -230,10 +253,7 @@ def ac_sup_deviation(x: SeqSample, n: int) -> float:
 
 def ac_theta_block_mean(x: SeqSample, scheme: LacunaryScheme, n: int, r: int) -> float:
     """(1/h_r) * sum over block r of |x_m - x_<m,n>|."""
-    n = check_witness(n)
-    lo, hi = scheme.block(r)
-    if hi > x.length:
-        raise ValueError(f"block {r} ends at {hi}, beyond sample length {x.length}")
+    lo, hi = _block_bounds(x, scheme, r)
     return math.fsum(deviations(x, n)[lo:hi]) / (hi - lo)
 
 
@@ -241,10 +261,8 @@ def ntheta_mean(x: SeqSample, scheme: LacunaryScheme, level: float, r: int) -> f
     """(1/h_r) * sum over block r of |x_m - level|."""
     if not math.isfinite(level):
         raise ValueError("level must be finite")
-    lo, hi = scheme.block(r)
-    if hi > x.length:
-        raise ValueError(f"block {r} ends at {hi}, beyond sample length {x.length}")
-    return math.fsum(abs(v - level) for v in x.values[lo:hi]) / (hi - lo)
+    lo, hi = _block_bounds(x, scheme, r)
+    return math.fsum(np.abs(x.values[lo:hi] - level)) / (hi - lo)
 
 
 def ntheta_norm(x: SeqSample, scheme: LacunaryScheme) -> float:
@@ -295,13 +313,7 @@ class VerdictPolicy:
             raise ValueError("growth must exceed 1")
 
     def to_dict(self) -> dict:
-        return {
-            "tail_window": self.tail_window,
-            "tol": self.tol,
-            "tol_hi": self.tol_hi,
-            "n_max": self.n_max,
-            "growth": self.growth,
-        }
+        return asdict(self)
 
 
 DEFAULT_POLICY = VerdictPolicy()
@@ -383,14 +395,15 @@ def _tail_stats(curve: np.ndarray, window: int) -> tuple[float, bool]:
     return float(seg.mean()), bool(np.all(np.diff(seg) >= 0))
 
 
-def _search_verdict(make_curves: Callable[[int], list[np.ndarray]],
-                    grid: tuple[float, ...], policy: VerdictPolicy,
-                    axis: str) -> ConvergenceVerdict:
-    """Shared witness search over n = 1..n_max.
+def _search(make_curves: Callable[[int], list[np.ndarray]],
+            policy: VerdictPolicy) -> tuple[Outcome, int | None, int, list[float]]:
+    """Witness search over n = 1..n_max: (outcome, witness, evaluated_n, tails).
 
-    Convergent at the smallest n whose every tail is <= tol. Otherwise
-    NotConvergent only if every n shows hard evidence (some epsilon with tail
-    >= tol_hi and a non-decreasing tail segment); else Inconclusive.
+    Convergent at the smallest n whose every curve tail is <= tol. Otherwise
+    NotConvergent only if every n shows hard evidence (some curve with tail
+    >= tol_hi and a non-decreasing tail segment); else Inconclusive. Without
+    a witness, evaluated_n is the n whose largest tail is smallest. `tails`
+    holds the tail of each curve at evaluated_n.
     """
     best: tuple[float, int, list[float]] | None = None
     every_n_hard = True
@@ -398,10 +411,7 @@ def _search_verdict(make_curves: Callable[[int], list[np.ndarray]],
         stats = [_tail_stats(c, policy.tail_window) for c in make_curves(n)]
         tails = [t for t, _ in stats]
         if max(tails) <= policy.tol:
-            return ConvergenceVerdict(
-                Outcome.CONVERGENT, n, n, axis,
-                tuple(zip(grid, tails)), grid, policy,
-            )
+            return Outcome.CONVERGENT, n, n, tails
         every_n_hard = every_n_hard and any(
             t >= policy.tol_hi and mono for t, mono in stats
         )
@@ -409,9 +419,23 @@ def _search_verdict(make_curves: Callable[[int], list[np.ndarray]],
             best = (max(tails), n, tails)
     assert best is not None
     outcome = Outcome.NOT_CONVERGENT if every_n_hard else Outcome.INCONCLUSIVE
-    return ConvergenceVerdict(
-        outcome, None, best[1], axis, tuple(zip(grid, best[2])), grid, policy,
-    )
+    return outcome, None, best[1], best[2]
+
+
+def _density_verdict(x: SeqSample, scheme: LacunaryScheme | None, axis: str,
+                     grid: Sequence[float], policy: VerdictPolicy | None) -> ConvergenceVerdict:
+    """Witness search over the per-epsilon density curves of one axis."""
+    grid = check_grid(grid)
+    policy = policy or DEFAULT_POLICY
+    lo, hi = _intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
+    span = hi - lo
+
+    def curves(n: int) -> list[np.ndarray]:
+        dev = deviations(x, n)
+        return [_interval_sums(dev >= e, lo, hi) / span for e in grid]
+
+    outcome, witness, n, tails = _search(curves, policy)
+    return ConvergenceVerdict(outcome, witness, n, axis, tuple(zip(grid, tails)), grid, policy)
 
 
 def asc_verdict(x: SeqSample, grid: Sequence[float] = DEFAULT_GRID,
@@ -420,23 +444,10 @@ def asc_verdict(x: SeqSample, grid: Sequence[float] = DEFAULT_GRID,
 
     For each candidate witness the per-epsilon prefix density curves are
     summarized by the mean of their last `tail_window` checkpoints; see
-    `_search_verdict` for the decision rule. Raises when the sample is too
-    short to supply a full tail window of checkpoints.
+    `_search` for the decision rule. Raises when the sample is too short to
+    supply a full tail window of checkpoints.
     """
-    grid = check_grid(grid)
-    policy = policy or DEFAULT_POLICY
-    ts = np.asarray(prefix_checkpoints(x.length, policy.growth))
-    if ts.size < policy.tail_window:
-        raise ValueError(
-            f"sample has {ts.size} checkpoints, fewer than the tail window "
-            f"{policy.tail_window}"
-        )
-
-    def curves(n: int) -> list[np.ndarray]:
-        dev = deviations(x, n)
-        return [np.cumsum(dev >= e)[ts - 1] / ts for e in grid]
-
-    return _search_verdict(curves, grid, policy, "prefix")
+    return _density_verdict(x, None, "prefix", grid, policy)
 
 
 def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
@@ -447,26 +458,7 @@ def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
     Same decision rule as `asc_verdict`, with block density curves in place of
     prefix curves. Requires at least `tail_window` blocks inside the sample.
     """
-    grid = check_grid(grid)
-    policy = policy or DEFAULT_POLICY
-    avail = scheme.blocks_within(x.length)
-    if avail < policy.tail_window:
-        raise ValueError(
-            f"{avail} blocks fit the sample, fewer than the tail window "
-            f"{policy.tail_window}"
-        )
-    pts = np.asarray(scheme.points[: avail + 1])
-    h = pts[1:] - pts[:-1]
-
-    def curves(n: int) -> list[np.ndarray]:
-        dev = deviations(x, n)
-        out = []
-        for e in grid:
-            cum = np.cumsum(dev >= e)
-            out.append((cum[pts[1:] - 1] - cum[pts[:-1] - 1]) / h)
-        return out
-
-    return _search_verdict(curves, grid, policy, "block")
+    return _density_verdict(x, scheme, "block", grid, policy)
 
 
 def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
@@ -477,25 +469,8 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     deviations to or below tol; the thresholds are read in deviation units.
     """
     policy = policy or DEFAULT_POLICY
-    avail = scheme.blocks_within(x.length)
-    if avail < policy.tail_window:
-        raise ValueError(
-            f"{avail} blocks fit the sample, fewer than the tail window "
-            f"{policy.tail_window}"
-        )
-    pts = np.asarray(scheme.points[: avail + 1])
-    h = pts[1:] - pts[:-1]
-    best: tuple[float, int] | None = None
-    every_n_hard = True
-    for n in range(1, policy.n_max + 1):
-        cum = np.cumsum(deviations(x, n))
-        means = (cum[pts[1:] - 1] - cum[pts[:-1] - 1]) / h
-        tail, mono = _tail_stats(means, policy.tail_window)
-        if tail <= policy.tol:
-            return MeanVerdict(Outcome.CONVERGENT, n, n, tail, policy)
-        every_n_hard = every_n_hard and (tail >= policy.tol_hi and mono)
-        if best is None or tail < best[0]:
-            best = (tail, n)
-    assert best is not None
-    outcome = Outcome.NOT_CONVERGENT if every_n_hard else Outcome.INCONCLUSIVE
-    return MeanVerdict(outcome, None, best[1], best[0], policy)
+    lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
+    h = hi - lo
+    outcome, witness, n, tails = _search(
+        lambda n: [_interval_sums(deviations(x, n), lo, hi) / h], policy)
+    return MeanVerdict(outcome, witness, n, tails[0], policy)

@@ -18,6 +18,7 @@ __all__ = [
     "gcd_pair",
     "check_witness",
     "divisors",
+    "gcd_anchors",
     "deviation",
     "deviations",
     "Constant",
@@ -123,11 +124,16 @@ def deviation(x: SeqSample, m: int, n: int) -> float:
     return abs(x.value(m) - x.value(gcd_pair(m, n)))
 
 
+def gcd_anchors(length: int, n: int) -> np.ndarray:
+    """Array positions gcd(m, n) - 1 of the anchors x_<m,n>, for m = 1..length."""
+    n = check_witness(n)
+    period = np.gcd(np.arange(1, min(n, length) + 1), n) - 1  # gcd(m + n, n) = gcd(m, n)
+    return np.tile(period, -(-length // period.size))[:length]
+
+
 def deviations(x: SeqSample, n: int) -> np.ndarray:
     """All deviations |x_m - x_<m,n>| for m = 1..T as one array (entry m - 1)."""
-    n = check_witness(n)
-    idx = np.arange(1, x.length + 1)
-    return np.abs(x.values - x.values[np.gcd(idx, n) - 1])
+    return np.abs(x.values - x.values[gcd_anchors(x.length, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +290,10 @@ def _values(spec: GeneratorSpec, length: int) -> np.ndarray:
     if isinstance(spec, Constant):
         return np.full(length, float(spec.value))
     if isinstance(spec, GcdPeriodic):
-        lut = np.full(spec.modulus + 1, np.nan)
+        lut = np.full(spec.modulus, np.nan)
         for d, v in spec.table.items():
-            lut[d] = v
-        return lut[np.gcd(np.arange(1, length + 1), spec.modulus)]
+            lut[d - 1] = v
+        return lut[gcd_anchors(length, spec.modulus)]
     if isinstance(spec, SparseSpike):
         vals = np.full(length, float(spec.base))
         pts = spike_support(spec, length)

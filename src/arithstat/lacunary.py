@@ -14,11 +14,18 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import count, islice, takewhile
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "LacunaryScheme",
     "make_scheme",
+    "geometric_points",
+    "compounding_points",
+    "polynomial_points",
+    "factorial_points",
+    "points_upto",
+    "first_blocks",
     "q_ratio_stats",
     "is_refinement",
     "union_refinement",
@@ -28,6 +35,11 @@ __all__ = [
     "block_intersections",
     "coarse_block_density_from_fine",
 ]
+
+#: Largest breakpoint a scheme may hold, so every index fits a signed 64-bit integer.
+MAX_POINT = 2**63 - 1
+#: Most blocks `first_blocks` builds from a breakpoint generator.
+MAX_BLOCKS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,8 @@ class LacunaryScheme:
             raise ValueError(f"k_0 must be >= 1, got {pts[0]}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("breakpoints must be strictly increasing")
+        if pts[-1] > MAX_POINT:
+            raise ValueError("breakpoints must not exceed 2**63 - 1")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -90,6 +104,64 @@ class LacunaryScheme:
 def make_scheme(points: Iterable[int]) -> LacunaryScheme:
     """Validate breakpoints and build a scheme (see LacunaryScheme for the advisory)."""
     return LacunaryScheme(tuple(points))
+
+
+# Breakpoint generators yield endless increasing sequences k_0 < k_1 < ...;
+# `first_blocks` stops them after a block count, `points_upto` at a point.
+
+
+def _grow(ratio: float, start: int, next_value: Callable[[int, int], float]) -> Iterator[int]:
+    """start, then max(k + 1, floor(next_value(j, k))) after each k = k_{j-1},
+    until that value passes MAX_POINT."""
+    if not ratio > 1 or start < 1:
+        raise ValueError("geometric schemes need ratio > 1 and start >= 1")
+    p = start
+    for j in count(1):
+        yield p
+        v = next_value(j, p)
+        if not v <= MAX_POINT:
+            return
+        p = max(p + 1, int(v))
+
+
+def geometric_points(ratio: float, start: int) -> Iterator[int]:
+    """Closed form k_j = floor(start * ratio**j): 1, 2, 3, 4, 5, 7, 11, ... for 1.5."""
+    return _grow(ratio, start, lambda j, p: start * ratio**j)
+
+
+def compounding_points(ratio: float, start: int) -> Iterator[int]:
+    """Compounding k_j = floor(k_{j-1} * ratio): 1, 2, 3, 4, 6, 9, 13, ... for 1.5."""
+    return _grow(ratio, start, lambda j, p: p * ratio)
+
+
+def polynomial_points(degree: int) -> Iterator[int]:
+    """k_j = (j + 1)**degree."""
+    if degree < 1:
+        raise ValueError("polynomial degree must be >= 1")
+    return (r**degree for r in count(1))
+
+
+def factorial_points() -> Iterator[int]:
+    """k_j = (j + 1)!."""
+    p = 1
+    for r in count(2):
+        yield p
+        p *= r
+
+
+def points_upto(points: Iterable[int], max_point: int) -> list[int]:
+    """The leading generated breakpoints that do not exceed max_point."""
+    return list(takewhile(lambda p: p <= max_point, points))
+
+
+def first_blocks(points: Iterable[int], blocks: int) -> LacunaryScheme:
+    """The scheme of the first `blocks` blocks of a breakpoint generator."""
+    if not 1 <= blocks <= MAX_BLOCKS:
+        raise ValueError(f"block count must lie in 1..{MAX_BLOCKS}, got {blocks}")
+    pts = points_upto(islice(points, blocks + 1), MAX_POINT)
+    if len(pts) <= blocks:
+        raise ValueError(f"breakpoint k_{len(pts)} would exceed 2**63 - 1")
+    return make_scheme(pts)
 
 
 def q_ratio_stats(scheme: LacunaryScheme, tail_fraction: float = 0.5) -> tuple[float, float]:
@@ -232,20 +304,19 @@ def block_intersections(a: LacunaryScheme, b: LacunaryScheme) -> SchemeRelation:
     return SchemeRelation("general-pair", tuple(pairs), delta)
 
 
-def coarse_block_density_from_fine(x, coarse: LacunaryScheme, fine: LacunaryScheme,
+def coarse_block_density_from_fine(x, relation: SchemeRelation, fine: LacunaryScheme,
                                    n: int, eps: float, r: int) -> float:
     """Coarse block exceedance density aggregated from fine block densities.
 
-    Computes (1/h_r) * sum over fine blocks inside coarse block r of
+    `relation` is `refinement_map(coarse, fine)`, built once for every coarse
+    block r. Computes (1/h_r) * sum over fine blocks inside coarse block r of
     h*_j * (fine block density). Equal to the directly computed coarse block
     density up to float rounding (the suite pins the gap at 1e-12).
     """
     from .density import block_density
 
-    rel = refinement_map(coarse, fine)
-    pairs = rel.pairs_of(r)
+    pairs = relation.pairs_of(r)
     if not pairs:
-        coarse.block(r)  # raise the standard out-of-range error
-        raise AssertionError("refinement left a coarse block uncovered")
+        raise ValueError(f"block index {r} has no fine blocks in the relation")
     total = math.fsum(p.size * block_density(x, fine, n, eps, p.fine_index) for p in pairs)
-    return total / coarse.block_length(r)
+    return total / pairs[0].coarse_size

@@ -14,9 +14,9 @@ hypothesis causes a refusal (HypothesisNotMet), which is not a failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
-    describe_spec,
     deviations,
     divisors,
     generate,
@@ -46,12 +45,19 @@ from .density import (
     block_exceedance,
     check_grid,
     exceedance_prefix,
-    prefix_density,
+    _block_bounds,
+    _check_eps,
+    _interval_sums,
+    _intervals,
 )
 from .lacunary import (
     LacunaryScheme,
     coarse_block_density_from_fine,
+    compounding_points,
+    factorial_points,
     make_scheme,
+    points_upto,
+    polynomial_points,
     q_ratio_stats,
     refinement_map,
 )
@@ -103,12 +109,7 @@ class CheckReport:
     witness: dict | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "instance": self.instance,
-            "passed": self.passed,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _scheme_preview(scheme: LacunaryScheme | None) -> list[int] | None:
@@ -123,14 +124,8 @@ def _axis_sets(x: SeqSample, n: int, eps: float, axis: str,
     """Exceedance sets along one axis: the full prefix, or every fitting block."""
     if axis == "prefix":
         return [exceedance_prefix(x, n, eps, x.length)]
-    if axis == "block":
-        if scheme is None:
-            raise ValueError("block axis needs a scheme")
-        avail = scheme.blocks_within(x.length)
-        if avail < 1:
-            raise ValueError("no block of the scheme fits inside the sample")
-        return [block_exceedance(x, scheme, n, eps, r) for r in range(1, avail + 1)]
-    raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
+    _, ends = _intervals(x.length, axis, scheme)
+    return [block_exceedance(x, scheme, n, eps, r) for r in range(1, ends.size + 1)]
 
 
 def check_scalar_closure(x: SeqSample, c: float, n: int, eps: float,
@@ -190,17 +185,18 @@ def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
 def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
                       r: int) -> CheckReport:
     """eps * |block exceedance| <= sum of deviations over the block."""
-    exc = block_exceedance(x, scheme, n, eps, r)
-    lo, hi = scheme.block(r)
-    total = math.fsum(deviations(x, n)[lo:hi])
+    lo, hi = _block_bounds(x, scheme, r)
+    block = deviations(x, n)[lo:hi]  # one pass serves both sides
+    count = int(np.count_nonzero(block >= _check_eps(eps)))
+    total = math.fsum(block)
     instance = {
         "recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
         "scheme": _scheme_preview(scheme),
     }
-    ok = eps * exc.count <= total
+    ok = eps * count <= total
     return CheckReport(
         "markov_step", instance, ok,
-        None if ok else {"lhs": eps * exc.count, "rhs": total},
+        None if ok else {"lhs": eps * count, "rhs": total},
     )
 
 
@@ -247,18 +243,14 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
         "coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine),
         "delta": float(delta),
     }
-    dev = deviations(x, n)
-    cum = np.cumsum(dev >= eps)
-
-    def count(lo: int, hi: int) -> int:
-        return int(cum[hi - 1] - cum[lo - 1])
-
-    for p in rel.pairs:
-        c_lo, c_hi = coarse.block(p.coarse_index)
-        if c_hi > x.length:
-            continue
-        lhs = Fraction(count(p.lo, p.hi), p.size)
-        rhs = Fraction(count(c_lo, c_hi), c_hi - c_lo) / delta
+    pairs = [p for p in rel.pairs if p.coarse_index <= avail]
+    flags = deviations(x, n) >= eps
+    fine_counts = _interval_sums(flags, np.array([p.lo for p in pairs]),
+                                 np.array([p.hi for p in pairs]))
+    coarse_counts = _interval_sums(flags, *_intervals(x.length, "block", coarse))
+    for p, fine_count in zip(pairs, fine_counts):
+        lhs = Fraction(int(fine_count), p.size)
+        rhs = Fraction(int(coarse_counts[p.coarse_index - 1]), p.coarse_size) / delta
         if lhs > rhs:
             return CheckReport(
                 "delta_transfer", instance, False,
@@ -508,26 +500,16 @@ def random_sample(rng: np.random.Generator, min_length: int = 64,
 
 
 def random_scheme(rng: np.random.Generator, max_point: int) -> LacunaryScheme:
-    """Random geometric, polynomial, or factorial scheme inside 1..max_point."""
+    """Random compounding geometric, polynomial, or factorial scheme inside 1..max_point."""
     kind = rng.integers(0, 3)
-    pts: list[int] = []
     if kind == 0:
         ratio = float(rng.choice((1.5, 2.0, 3.0)))
-        p = int(rng.integers(1, 4))
-        while p <= max_point:
-            pts.append(p)
-            p = max(p + 1, int(p * ratio))
+        points = compounding_points(ratio, int(rng.integers(1, 4)))
     elif kind == 1:
-        degree = int(rng.integers(2, 4))
-        r = 1
-        while r**degree <= max_point:
-            pts.append(r**degree)
-            r += 1
+        points = polynomial_points(int(rng.integers(2, 4)))
     else:
-        p, r = 1, 2
-        while p <= max_point:
-            pts.append(p)
-            p, r = p * r, r + 1
+        points = factorial_points()
+    pts = points_upto(points, max_point)
     if len(pts) < 2:
         pts = [1, max(2, max_point)]
     return make_scheme(pts)
@@ -576,108 +558,112 @@ class SuiteResult:
         }
 
 
+def _run_suite(name: str, seed: int, instances: int, max_length: int,
+               draw: Callable[[np.random.Generator, SeqSample], tuple],
+               check: Callable[..., Iterable[CheckReport]],
+               measure: Callable[[CheckReport], float] | None = None,
+               ) -> tuple[SuiteResult, int, tuple[float, float]]:
+    """Drive one randomized suite, keeping only its failed reports.
+
+    Each instance draws a sample, then the suite's own parameters (`draw`),
+    then a witness n and an epsilon; `check(x, *params, n, eps)` yields one
+    report per check. Returns the result, the number of checks, and the
+    (min, max) of `measure` over all reports ((inf, -inf) without one).
+    """
+    rng = np.random.default_rng(seed)
+    result = SuiteResult(name, instances)
+    checks, low, high = 0, math.inf, -math.inf
+    for _ in range(instances):
+        x = random_sample(rng, max_length=max_length)
+        params = draw(rng, x)
+        n = int(rng.integers(1, 17))
+        eps = float(rng.choice(_EPS_CHOICES))
+        for rep in check(x, *params, n, eps):
+            checks += 1
+            if measure is not None:
+                v = measure(rep)
+                low, high = min(low, v), max(high, v)
+            if not rep.passed:
+                result.failures.append(rep)
+    return result, checks, (low, high)
+
+
+_AXES = ("prefix", "block")
+
+
+def _block_suite(name: str, check_fn: Callable[..., CheckReport], seed: int,
+                 instances: int, max_length: int) -> SuiteResult:
+    """check_fn on every block of a random scheme, for each random instance."""
+    result, blocks, _ = _run_suite(
+        name, seed, instances, max_length,
+        lambda rng, x: (random_scheme(rng, x.length),),
+        lambda x, scheme, n, eps: (check_fn(x, scheme, n, eps, r)
+                                   for r in range(1, scheme.blocks_within(x.length) + 1)))
+    result.extra["blocks_checked"] = blocks
+    return result
+
+
 def scalar_closure_suite(seed: int, instances: int = 1000,
                          max_length: int = 10_000) -> SuiteResult:
     """Scaling identity on random instances, both axes, scales +-{0.5, 1, 3, 10}."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("scalar_closure", instances)
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
+    def draw(rng, x):
         scheme = random_scheme(rng, x.length)
-        c = float(rng.choice(_SCALE_CHOICES)) if rng.random() > 0.05 else 0.0
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
-        for axis in ("prefix", "block"):
-            rep = check_scalar_closure(x, c, n, eps, axis, scheme)
-            if not rep.passed:
-                result.failures.append(rep)
-    return result
+        return scheme, float(rng.choice(_SCALE_CHOICES)) if rng.random() > 0.05 else 0.0
+
+    return _run_suite(
+        "scalar_closure", seed, instances, max_length, draw,
+        lambda x, scheme, c, n, eps: (check_scalar_closure(x, c, n, eps, axis, scheme)
+                                      for axis in _AXES))[0]
 
 
 def sum_closure_suite(seed: int, instances: int = 1000,
                       max_length: int = 10_000) -> SuiteResult:
     """Subadditivity of exceedance on random pairs, both axes."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("sum_closure", instances)
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
+    def draw(rng, x):
         y = generate(random_generator_spec(rng), x.length)
-        scheme = random_scheme(rng, x.length)
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
-        for axis in ("prefix", "block"):
-            rep = check_sum_closure(x, y, n, eps, axis, scheme)
-            if not rep.passed:
-                result.failures.append(rep)
-    return result
+        return y, random_scheme(rng, x.length)
+
+    return _run_suite(
+        "sum_closure", seed, instances, max_length, draw,
+        lambda x, y, scheme, n, eps: (check_sum_closure(x, y, n, eps, axis, scheme)
+                                      for axis in _AXES))[0]
 
 
 def markov_step_suite(seed: int, instances: int = 1000,
                       max_length: int = 10_000) -> SuiteResult:
     """Counting bound on every block of every random instance."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("markov_step", instances)
-    blocks = 0
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
-        scheme = random_scheme(rng, x.length)
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
-        for r in range(1, scheme.blocks_within(x.length) + 1):
-            blocks += 1
-            rep = check_markov_step(x, scheme, n, eps, r)
-            if not rep.passed:
-                result.failures.append(rep)
-    result.extra["blocks_checked"] = blocks
-    return result
+    return _block_suite("markov_step", check_markov_step, seed, instances, max_length)
 
 
 def lac1_bound_suite(seed: int, instances: int = 500,
                      max_length: int = 10_000) -> SuiteResult:
     """Prefix-vs-block bound on every block of every random instance."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("lac1_bound", instances)
-    blocks = 0
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
-        scheme = random_scheme(rng, x.length)
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
-        for r in range(1, scheme.blocks_within(x.length) + 1):
-            blocks += 1
-            rep = check_lac1_bound(x, scheme, n, eps, r)
-            if not rep.passed:
-                result.failures.append(rep)
-    result.extra["blocks_checked"] = blocks
-    return result
+    return _block_suite("lac1_bound", check_lac1_bound, seed, instances, max_length)
 
 
 def refinement_aggregation_suite(seed: int, instances: int = 500,
                                  max_length: int = 10_000,
                                  tolerance: float = 1e-12) -> SuiteResult:
     """Aggregated coarse density equals the direct one within the pinned tolerance."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("refinement_aggregation", instances)
-    worst = 0.0
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
-        coarse, fine = random_refinement(rng, x.length)
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
+    def check(x, coarse, fine, n, eps):
+        rel = refinement_map(coarse, fine)
         for r in range(1, coarse.blocks_within(x.length) + 1):
-            agg = coarse_block_density_from_fine(x, coarse, fine, n, eps, r)
+            agg = coarse_block_density_from_fine(x, rel, fine, n, eps, r)
             direct = block_density(x, coarse, n, eps, r)
             err = abs(agg - direct)
-            worst = max(worst, err)
-            if err > tolerance:
-                result.failures.append(CheckReport(
-                    "refinement_aggregation",
-                    {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
-                     "r": r, "coarse": _scheme_preview(coarse),
-                     "fine": _scheme_preview(fine)},
-                    False, {"aggregated": agg, "direct": direct, "error": err},
-                ))
-    result.extra["max_error"] = worst
+            yield CheckReport(
+                "refinement_aggregation",
+                {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
+                 "r": r, "coarse": _scheme_preview(coarse),
+                 "fine": _scheme_preview(fine)},
+                not err > tolerance, {"aggregated": agg, "direct": direct, "error": err},
+            )
+
+    result, _, (_, worst) = _run_suite(
+        "refinement_aggregation", seed, instances, max_length,
+        lambda rng, x: random_refinement(rng, x.length), check,
+        lambda rep: rep.witness["error"])
+    result.extra["max_error"] = max(0.0, worst)
     result.extra["tolerance"] = tolerance
     return result
 
@@ -685,20 +671,13 @@ def refinement_aggregation_suite(seed: int, instances: int = 500,
 def delta_transfer_suite(seed: int, instances: int = 500,
                          max_length: int = 10_000) -> SuiteResult:
     """Exact delta transfer on random refinements (self and singleton cases included)."""
-    rng = np.random.default_rng(seed)
-    result = SuiteResult("delta_transfer", instances)
-    deltas = []
-    for _ in range(instances):
-        x = random_sample(rng, max_length=max_length)
-        coarse, fine = random_refinement(rng, x.length)
-        n = int(rng.integers(1, 17))
-        eps = float(rng.choice(_EPS_CHOICES))
-        rep = check_delta_transfer(x, coarse, fine, n, eps)
-        deltas.append(rep.instance["delta"])
-        if not rep.passed:
-            result.failures.append(rep)
-    result.extra["min_delta"] = min(deltas)
-    result.extra["max_delta"] = max(deltas)
+    result, _, (low, high) = _run_suite(
+        "delta_transfer", seed, instances, max_length,
+        lambda rng, x: random_refinement(rng, x.length),
+        lambda x, coarse, fine, n, eps: (check_delta_transfer(x, coarse, fine, n, eps),),
+        lambda rep: rep.instance["delta"])
+    result.extra["min_delta"] = low
+    result.extra["max_delta"] = high
     return result
 
 

@@ -20,9 +20,16 @@ from arithstat.cli import (
     main,
 )
 from arithstat.kernel import SparseSpike, generate
+from arithstat.lacunary import MAX_BLOCKS
 
 DYADIC_POINTS = {"points": [1, 2, 4, 8, 16]}
 GEOMETRIC_10 = {"geometric": {"ratio": 2.0, "count": 10, "start": 1}}
+
+
+def assert_one_line_input_error(stderr: str) -> None:
+    assert stderr.startswith("input error:"), stderr
+    assert stderr.count("\n") == 1
+    assert "Traceback" not in stderr
 
 
 def write_json(path, obj) -> str:
@@ -97,24 +104,47 @@ class TestAnalyze:
     @pytest.mark.parametrize("content,reason", [
         ("", "empty"),
         ("1.0\ntwo\n3.0\n", "non-numeric"),
+        (b"1.0\n\xff\n", "not UTF-8"),
     ])
-    def test_bad_csv_is_input_error(self, tmp_path, content, reason):
+    def test_bad_csv_is_input_error(self, tmp_path, content, reason, capsys):
         seq = tmp_path / "seq.csv"
-        seq.write_text(content)
+        if isinstance(content, bytes):
+            seq.write_bytes(content)
+        else:
+            seq.write_text(content)
         rc = main(["analyze", "--input", str(seq), "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT, reason
+        assert_one_line_input_error(capsys.readouterr().err)
 
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(["analyze", "--input", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
 
-    def test_invalid_json_is_input_error(self, tmp_path):
+    def test_invalid_json_is_input_error(self, tmp_path, capsys):
+        def scaled(depth: int) -> str:
+            return ('{"kind": "scaled", "factor": 1.0, "child": ' * depth
+                    + '{"kind": "constant", "value": 1.0}' + "}" * depth)
+
+        texts = [
+            "{not json",
+            scaled(990),  # deeper than the JSON parser recurses
+            scaled(200),  # parses, but nests past the generator spec limit
+            '{"kind": "constant", "value": 1e400}',
+            '{"kind": "constant", "value": 1' + "0" * 400 + "}",
+        ]
         spec = tmp_path / "broken.json"
-        spec.write_text("{not json")
+        for text in texts:
+            spec.write_text(text)
+            rc = main(["analyze", "--input", str(spec), "--length", "64",
+                       "--out", str(tmp_path / "o")])
+            assert rc == EXIT_INPUT, text[:40]
+            assert_one_line_input_error(capsys.readouterr().err)
+        spec.write_bytes(b'{"kind": "constant", "value": \xff}')
         rc = main(["analyze", "--input", str(spec), "--length", "64",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+        assert_one_line_input_error(capsys.readouterr().err)
 
     @pytest.mark.parametrize("spec", [
         {"kind": "mystery"},
@@ -207,10 +237,25 @@ class TestScheme:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
-    def test_bad_scheme_spec_is_input_error(self, tmp_path):
-        path = write_json(tmp_path / "s.json", {"points": [5, 3, 1]})
-        rc = main(["scheme", "--scheme", path, "--out", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
+    def test_bad_scheme_spec_is_input_error(self, tmp_path, capsys):
+        texts = [
+            json.dumps({"points": [5, 3, 1]}),
+            json.dumps({"geometric": {"ratio": 10, "count": 400}}),
+            json.dumps({"geometric": {"ratio": 1e308, "count": 3}}),
+            json.dumps({"geometric": {"ratio": 0.5, "count": 3}}),
+            '{"points": [1, 1e400]}',
+            json.dumps({"points": [1, 2**63]}),
+            json.dumps({"factorial": {"count": 3000}}),
+            '{"factorial": {"count": 1e400}}',
+            json.dumps({"polynomial": {"degree": 400, "count": 300}}),
+            json.dumps({"polynomial": {"degree": 1, "count": MAX_BLOCKS + 1}}),
+        ]
+        path = tmp_path / "s.json"
+        for text in texts:
+            path.write_text(text)
+            rc = main(["scheme", "--scheme", str(path), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_INPUT, text
+            assert_one_line_input_error(capsys.readouterr().err)
 
 
 class TestVerify:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithstat.kernel import (
     GcdPeriodic,
@@ -317,3 +319,100 @@ class TestMeanVerdict:
         v = ac_theta_at_scale(x, self.SCHEME)
         assert v.outcome is Outcome.CONVERGENT
         assert v.tail_mean <= 0.02
+
+
+# ---------------------------------------------------------------------------
+# Brute-force recount: every density, block mean and witness search below is
+# recomputed from x_m and x_gcd(m, n) with plain Python loops.
+# ---------------------------------------------------------------------------
+
+RECOUNT_POLICY = VerdictPolicy(tail_window=4, n_max=8)
+
+
+def brute_deviations(vals: list[float], n: int) -> list[float]:
+    return [abs(vals[m - 1] - vals[math.gcd(m, n) - 1]) for m in range(1, len(vals) + 1)]
+
+
+def brute_intervals(length: int, axis: str, points: list[int]) -> list[tuple[int, int]]:
+    if axis == "prefix":
+        return [(0, t) for t in prefix_checkpoints(length, RECOUNT_POLICY.growth)]
+    return [(lo, hi) for lo, hi in zip(points, points[1:]) if hi <= length]
+
+
+def brute_density_curve(vals, n, eps, intervals) -> list[float]:
+    dev = brute_deviations(vals, n)
+    return [sum(1 for m in range(lo + 1, hi + 1) if dev[m - 1] >= eps) / (hi - lo)
+            for lo, hi in intervals]
+
+
+def brute_mean_curve(vals, n, intervals) -> list[float]:
+    dev = brute_deviations(vals, n)
+    return [math.fsum(dev[lo:hi]) / (hi - lo) for lo, hi in intervals]
+
+
+def brute_search(curves_of, policy=RECOUNT_POLICY):
+    """(outcome, witness, evaluated_n, tails) by the documented decision rule."""
+    best, every_n_hard = None, True
+    for n in range(1, policy.n_max + 1):
+        segs = [c[-policy.tail_window:] for c in curves_of(n)]
+        tails = [sum(seg) / len(seg) for seg in segs]
+        if max(tails) <= policy.tol:
+            return "ConvergentAtScale", n, n, tails
+        every_n_hard = every_n_hard and any(
+            t >= policy.tol_hi and all(b >= a for a, b in zip(seg, seg[1:]))
+            for t, seg in zip(tails, segs))
+        if best is None or max(tails) < best[0]:
+            best = (max(tails), n, tails)
+    outcome = "NotConvergentAtScale" if every_n_hard else "Inconclusive"
+    return outcome, None, best[1], best[2]
+
+
+@st.composite
+def recount_cases(draw):
+    """A dyadic gcd-periodic sample (modulus 1..8), sometimes plus a ramp and
+    perturbed at a few indices, and a scheme with at least four blocks inside
+    the sample."""
+    length = draw(st.integers(64, 400))
+    n0 = draw(st.integers(1, 8))
+    table = {d: draw(st.integers(-16, 16)) / 8 for d in divisors(n0)}
+    slope = draw(st.sampled_from((0.0, 0.0, 0.125, 1.0)))
+    vals = [table[math.gcd(m, n0)] + slope * m for m in range(1, length + 1)]
+    for m in draw(st.lists(st.integers(1, length), max_size=40)):
+        vals[m - 1] = draw(st.integers(-16, 16)) / 8
+    points = sorted(draw(st.sets(st.integers(1, length), min_size=5, max_size=30)))
+    return vals, points
+
+
+class TestBruteForceRecount:
+    @given(case=recount_cases(), n=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_and_curves_match_recount(self, case, n):
+        vals, points = case
+        x, scheme = SeqSample(vals), make_scheme(points)
+        length = len(vals)
+        for axis, verdict in (
+            ("prefix", asc_verdict(x, DEFAULT_GRID, RECOUNT_POLICY)),
+            ("block", asc_theta_verdict(x, scheme, DEFAULT_GRID, RECOUNT_POLICY)),
+        ):
+            intervals = brute_intervals(length, axis, points)
+            outcome, witness, evaluated_n, tails = brute_search(
+                lambda k: [brute_density_curve(vals, k, e, intervals) for e in DEFAULT_GRID])
+            assert (verdict.outcome.value, verdict.witness, verdict.evaluated_n) == (
+                outcome, witness, evaluated_n)
+            assert [e for e, _ in verdict.tail_densities] == list(DEFAULT_GRID)
+            for (_, got), want in zip(verdict.tail_densities, tails):
+                assert abs(got - want) <= 1e-12
+            for e in DEFAULT_GRID:
+                curve = density_curve(x, n, e, axis, scheme, RECOUNT_POLICY.growth)
+                index = [hi for _, hi in intervals] if axis == "prefix" else list(
+                    range(1, len(intervals) + 1))
+                assert curve.points == tuple(
+                    zip(index, brute_density_curve(vals, n, e, intervals)))
+
+        mean = ac_theta_at_scale(x, scheme, RECOUNT_POLICY)
+        blocks = brute_intervals(length, "block", points)
+        outcome, witness, evaluated_n, tails = brute_search(
+            lambda k: [brute_mean_curve(vals, k, blocks)])
+        assert (mean.outcome.value, mean.witness, mean.evaluated_n) == (
+            outcome, witness, evaluated_n)
+        assert abs(mean.tail_mean - tails[0]) <= 1e-12

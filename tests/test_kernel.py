@@ -159,11 +159,13 @@ class TestDeviation:
 
     def test_vectorized_matches_loop(self):
         rng = np.random.default_rng(5)
-        x = SeqSample(rng.integers(-40, 40, size=300) / 8.0)
-        for n in (1, 2, 6, 12, 17, 64):
-            dev = deviations(x, n)
-            for m in range(1, x.length + 1):
-                assert dev[m - 1] == deviation(x, m, n)
+        for size in (300, 10):  # the short sample has moduli beyond its length
+            x = SeqSample(rng.integers(-40, 40, size=size) / 8.0)
+            for n in (1, 2, 6, 12, 17, 64, 10**9):
+                dev = deviations(x, n)
+                assert dev.shape == (x.length,)
+                for m in range(1, x.length + 1):
+                    assert dev[m - 1] == deviation(x, m, n)
 
     def test_bad_arguments(self):
         x = SeqSample([1.0, 2.0])

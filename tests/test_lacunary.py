@@ -184,12 +184,13 @@ class TestAggregation:
         x = SeqSample(rng.integers(-16, 17, size=1000) / 8.0)
         coarse = make_scheme([1, 4, 16, 64, 256, 1000])
         fine = union_refinement(coarse, make_scheme([1, 2, 9, 40, 100, 500, 1000]))
+        relation = refinement_map(coarse, fine)
         for r in range(1, coarse.block_count + 1):
             lo, hi = coarse.block(r)
-            agg = coarse_block_density_from_fine(x, coarse, fine, 6, 0.5, r)
+            agg = coarse_block_density_from_fine(x, relation, fine, 6, 0.5, r)
             assert agg == pytest.approx(density_oracle(x, lo, hi, 6, 0.5), abs=1e-12)
 
     def test_out_of_range_block(self):
         x = SeqSample(np.zeros(100))
         with pytest.raises(ValueError, match="block index"):
-            coarse_block_density_from_fine(x, DYADIC, DYADIC, 1, 0.5, 9)
+            coarse_block_density_from_fine(x, refinement_map(DYADIC, DYADIC), DYADIC, 1, 0.5, 9)

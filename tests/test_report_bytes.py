@@ -1,0 +1,62 @@
+"""Report-bytes guard: `analyze`, `scheme` and `verify` keep their exact output bytes.
+
+The digests below were recorded from these same runs before the counting,
+search and suite code was consolidated (x86-64 Linux, Python 3.11, numpy
+2.4). Any change to a verdict, a density, a scheme generator or a suite
+draw shows up as a changed digest.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from arithstat.cli import EXIT_OK, main
+
+INPUTS = {
+    "spec.json": {
+        "kind": "sum",
+        "left": {"kind": "gcd_periodic", "modulus": 6,
+                 "table": {"1": 0.5, "2": 1, "3": 1.5, "6": 3}},
+        "right": {"kind": "sparse_spike", "height": 4, "power": 3},
+    },
+    "geometric.json": {"geometric": {"ratio": 1.5, "count": 24, "start": 1}},
+    "polynomial.json": {"polynomial": {"degree": 2, "count": 40}},
+    "dyadic.json": {"geometric": {"ratio": 2, "count": 12}},
+}
+
+RUNS = {
+    "analyze": ["analyze", "--input", "spec.json", "--length", "4096",
+                "--scheme", "dyadic.json"],
+    "scheme": ["scheme", "--scheme", "geometric.json", "--scheme", "polynomial.json"],
+    "verify": ["verify", "--instances", "20", "--seed", "7"],
+}
+
+EXPECTED = {
+    "analyze/stdout": "a82b6a7d81187a792ba329945867601eeda7164582bf3df15aa4a87c415375d3",
+    "analyze/curves.csv": "5fa6440c0e3e989e864c933a89de073103538670e7b828c68c718c4b430f9aa1",
+    "analyze/report.json": "69180b29d621b87088cb958ba6f8c1dc690e8b0e04374e5140b8444607ce5888",
+    "scheme/stdout": "84069ac794acb2f859a18392b5813e306ea91fe6745c758793a129c41d80d5cc",
+    "scheme/scheme_1.csv": "0706d64833800ea3da28f2602abbfc7b96c8eff2ac97e4084882a8b6b674ad9c",
+    "scheme/scheme_2.csv": "ce5a037dd3856c9416025160cdb2581f38b16e3772988c0346506d0779953e98",
+    "scheme/scheme_report.json": "1a0eacb1759ad15c9ce10d379af2082b797a5b0bee5c39a239a4964ae912737f",
+    "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
+    "verify/verify_report.json": "5a4bd89459549451ff068ff44887348d32f9e96f75495af707f7f063cb0bfad0",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the embedded config stable
+    for name, obj in INPUTS.items():
+        Path(name).write_text(json.dumps(obj))
+    digests = {}
+    for out, argv in RUNS.items():
+        assert main([*argv, "--out", out]) == EXIT_OK
+        digests[f"{out}/stdout"] = sha256(capsys.readouterr().out.encode())
+        for path in sorted(Path(out).iterdir()):
+            digests[f"{out}/{path.name}"] = sha256(path.read_bytes())
+    assert digests == EXPECTED
