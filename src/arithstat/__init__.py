@@ -19,7 +19,6 @@ from .kernel import (
     deviation,
     deviations,
     divisors,
-    gcd_pair,
     generate,
     spike_support,
 )
@@ -33,7 +32,6 @@ from .lacunary import (
     make_scheme,
     q_ratio_stats,
     refinement_map,
-    union_refinement,
 )
 from .density import (
     DEFAULT_GRID,
@@ -56,7 +54,6 @@ from .density import (
     ntheta_norm,
     prefix_checkpoints,
     prefix_density,
-    stat_prefix_density,
 )
 from .theorems import (
     CheckReport,
@@ -96,16 +93,16 @@ __version__ = "0.1.0"
 __all__ = [
     "Constant", "GcdPeriodic", "GeneratorSpec", "Scaled", "SeqSample",
     "SparseSpike", "Summed", "check_witness", "describe_spec", "deviation",
-    "deviations", "divisors", "gcd_pair", "generate", "spike_support",
+    "deviations", "divisors", "generate", "spike_support",
     "LacunaryScheme", "RelationPair", "SchemeRelation", "block_intersections",
     "coarse_block_density_from_fine", "is_refinement", "make_scheme",
-    "q_ratio_stats", "refinement_map", "union_refinement",
+    "q_ratio_stats", "refinement_map",
     "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "ExceedanceSet",
     "MeanVerdict", "Outcome", "VerdictPolicy", "ac_sup_deviation",
     "ac_theta_at_scale", "ac_theta_block_mean", "asc_theta_verdict",
     "asc_verdict", "block_density", "block_exceedance", "density_curve",
     "exceedance_prefix", "ntheta_mean", "ntheta_norm", "prefix_checkpoints",
-    "prefix_density", "stat_prefix_density",
+    "prefix_density",
     "CheckReport", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_scalar_closure", "check_sum_closure", "ramp_sample",

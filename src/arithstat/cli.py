@@ -80,6 +80,10 @@ CSV_HEADER = ("axis", "index", "epsilon", "witness_n", "density")
 
 #: Deepest nesting of `scaled` and `sum` nodes accepted in a generator spec.
 MAX_SPEC_DEPTH = 100
+#: Largest --length. A witness pass holds several full-length arrays of 8
+#: bytes per index (values, anchors, deviations, running counts), about 1 GiB
+#: at 2**25; that is 16 times the longest benchmark sample (2**21).
+MAX_LENGTH = 2**25
 #: Errors of malformed JSON values, such as a number too large for a float.
 _VALUE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
@@ -139,8 +143,8 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = _parse_grid(getattr(args, "eps_grid", None))
     length = getattr(args, "length", None)
-    if length is not None and length < 1:
-        raise ConfigError("--length must be >= 1")
+    if length is not None and not 1 <= length <= MAX_LENGTH:
+        raise ConfigError(f"--length must lie in 1..{MAX_LENGTH}, got {length}")
     cfg = RunConfig(
         command=args.command,
         input=getattr(args, "input", None),

@@ -22,6 +22,8 @@ from .density import (
     Outcome,
     VerdictPolicy,
     _check_eps,
+    _first_hit,
+    _intervals,
     asc_theta_verdict,
     check_grid,
 )
@@ -350,8 +352,7 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
         "recipe": x.recipe, "n": n, "eps": eps,
         "scheme": list(scheme.points[:8]),
     }
-    avail = scheme.blocks_within(x.length)
-    if avail < 1:
+    if scheme.blocks_within(x.length) < 1:
         raise ValueError("no block of the scheme fits inside the sample")
     anchors = gcd_anchors(x.length, n)
     fx = apply_fn(f, x.values)
@@ -363,13 +364,6 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
         | (np.abs(fNxg - fNx) >= eps / 3)
         | (np.abs(fNx - fx) >= eps / 3)
     )
-    stray = target & ~cover
-    for r in range(1, avail + 1):
-        lo, hi = scheme.block(r)
-        bad = np.nonzero(stray[lo:hi])[0]
-        if bad.size:
-            return CheckReport(
-                "uniform_limit", instance, False,
-                {"block": r, "uncovered": [int(lo + 1 + i) for i in bad[:20]]},
-            )
-    return CheckReport("uniform_limit", instance, True)
+    hit = _first_hit(target & ~cover, *_intervals(x.length, "block", scheme))
+    return CheckReport("uniform_limit", instance, hit is None, None if hit is None else
+                       {"block": hit[0] + 1, "uncovered": hit[1]})

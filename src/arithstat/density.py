@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SeqSample, check_witness, deviations
+from .kernel import SeqSample, _check_eps, check_witness, deviations
 from .lacunary import LacunaryScheme
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "block_density",
     "prefix_checkpoints",
     "density_curve",
-    "stat_prefix_density",
     "ac_sup_deviation",
     "ac_theta_block_mean",
     "ntheta_mean",
@@ -63,13 +62,6 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     if any(b >= a for a, b in zip(g, g[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     return g
-
-
-def _check_eps(eps: float) -> float:
-    e = float(eps)
-    if not math.isfinite(e) or e <= 0:
-        raise ValueError(f"epsilon must be finite and positive, got {eps!r}")
-    return e
 
 
 @dataclass(frozen=True)
@@ -210,14 +202,29 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
     raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
 
 
-def _interval_sums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Sum of values[m - 1] over lo < m <= hi, for each interval (lo, hi].
+def _interval_sums(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Integer counts of the set flags[m - 1] over lo < m <= hi, for each interval (lo, hi].
 
-    `values` holds one flag or number per index m = 1..T; flags sum to exact
-    integer counts.
+    Counts are differences of one running sum, which is exact for integers
+    only; float values are summed per interval with math.fsum instead.
     """
-    cum = np.cumsum(values)
+    cum = np.cumsum(flags)
     return cum[hi - 1] - np.where(lo > 0, cum[lo - 1], 0)
+
+
+def _first_hit(mask: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray) -> tuple[int, list[int]] | None:
+    """The first interval (lo, hi] that holds a set flag mask[m - 1].
+
+    Returns its position in lo/hi with its first 20 flagged indices m, or
+    None when no interval holds one.
+    """
+    hits = np.flatnonzero(_interval_sums(mask, lo, hi))
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    a = int(lo[i])
+    return i, [a + 1 + int(j) for j in np.flatnonzero(mask[a:hi[i]])[:20]]
 
 
 def density_curve(x: SeqSample, n: int, eps: float, axis: str,
@@ -234,16 +241,6 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     vals = _interval_sums(deviations(x, n) >= eps, lo, hi) / (hi - lo)
     index = hi if axis == "prefix" else range(1, hi.size + 1)
     return DensityCurve(axis, eps, n, tuple((int(i), float(v)) for i, v in zip(index, vals)))
-
-
-def stat_prefix_density(x: SeqSample, level: float, eps: float, t: int) -> float:
-    """Share of m <= t with |x_m - level| >= eps (plain statistical convergence)."""
-    eps = _check_eps(eps)
-    if not math.isfinite(level):
-        raise ValueError("level must be finite")
-    if not 1 <= t <= x.length:
-        raise ValueError(f"prefix length {t} outside 1..{x.length}")
-    return int(np.count_nonzero(np.abs(x.values[:t] - level) >= eps)) / t
 
 
 def ac_sup_deviation(x: SeqSample, n: int) -> float:
@@ -467,10 +464,16 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
 
     Convergent when some witness drives the tail average of the per-block mean
     deviations to or below tol; the thresholds are read in deviation units.
+    Each block mean is the math.fsum of its deviations over h_r, as in
+    `ac_theta_block_mean`, so no large early value cancels a later block.
     """
     policy = policy or DEFAULT_POLICY
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
     h = hi - lo
-    outcome, witness, n, tails = _search(
-        lambda n: [_interval_sums(deviations(x, n), lo, hi) / h], policy)
+
+    def means(n: int) -> list[np.ndarray]:
+        dev = deviations(x, n)
+        return [np.array([math.fsum(dev[a:b]) for a, b in zip(lo, hi)]) / h]
+
+    outcome, witness, n, tails = _search(means, policy)
     return MeanVerdict(outcome, witness, n, tails[0], policy)

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "SeqSample",
-    "gcd_pair",
     "check_witness",
     "divisors",
     "gcd_anchors",
@@ -33,20 +32,19 @@ __all__ = [
 ]
 
 
-def gcd_pair(m: int, n: int) -> int:
-    """Greatest common divisor of two integers, both required to be >= 1."""
-    mm, nn = int(m), int(n)
-    if mm != m or nn != n or mm < 1 or nn < 1:
-        raise ValueError(f"gcd_pair needs positive integers, got ({m!r}, {n!r})")
-    return math.gcd(mm, nn)
-
-
 def check_witness(n: int) -> int:
     """Normalize a witness modulus, rejecting anything below 1."""
     k = int(n)
     if k != n or k < 1:
         raise ValueError(f"witness modulus must be a positive integer, got {n!r}")
     return k
+
+
+def _check_eps(eps: float) -> float:
+    e = float(eps)
+    if not math.isfinite(e) or e <= 0:
+        raise ValueError(f"epsilon must be finite and positive, got {eps!r}")
+    return e
 
 
 def divisors(n: int) -> tuple[int, ...]:
@@ -121,7 +119,7 @@ def deviation(x: SeqSample, m: int, n: int) -> float:
     n = check_witness(n)
     if not 1 <= m <= x.length:
         raise IndexError(f"index {m} outside 1..{x.length}")
-    return abs(x.value(m) - x.value(gcd_pair(m, n)))
+    return abs(x.value(m) - x.value(math.gcd(m, n)))
 
 
 def gcd_anchors(length: int, n: int) -> np.ndarray:
@@ -134,6 +132,11 @@ def gcd_anchors(length: int, n: int) -> np.ndarray:
 def deviations(x: SeqSample, n: int) -> np.ndarray:
     """All deviations |x_m - x_<m,n>| for m = 1..T as one array (entry m - 1)."""
     return np.abs(x.values - x.values[gcd_anchors(x.length, n)])
+
+
+def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
+    """The exceedance flags |x_m - x_<m,n>| >= eps for m = 1..T (entry m - 1)."""
+    return deviations(x, n) >= _check_eps(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +293,11 @@ def _values(spec: GeneratorSpec, length: int) -> np.ndarray:
     if isinstance(spec, Constant):
         return np.full(length, float(spec.value))
     if isinstance(spec, GcdPeriodic):
-        lut = np.full(spec.modulus, np.nan)
+        # anchors gcd(m, modulus) <= m never pass the length
+        lut = np.full(min(spec.modulus, length), np.nan)
         for d, v in spec.table.items():
-            lut[d - 1] = v
+            if d <= length:
+                lut[d - 1] = v
         return lut[gcd_anchors(length, spec.modulus)]
     if isinstance(spec, SparseSpike):
         vals = np.full(length, float(spec.base))

@@ -1,10 +1,12 @@
 """Exact finite checks of the closure, bound, and transfer mechanisms.
 
 Each check_* function verifies one mechanism on one concrete instance and
-returns a CheckReport. The checks are exact: set identities compare index
-sets element by element, and inequalities between counted densities are
-compared with denominators cleared in integer or Fraction arithmetic, so no
-floating tolerance is involved anywhere a mathematical identity is claimed.
+returns a CheckReport. The checks are exact: set identities compare the
+boolean exceedance flags of each index interval by interval, with one
+deviation pass per (sample, n, eps), and inequalities between counted
+densities are compared with denominators cleared in integer or Fraction
+arithmetic, so no floating tolerance is involved anywhere a mathematical
+identity is claimed.
 
 run_inclusion_experiment compares convergence verdicts across a family of
 sequences for one inclusion hypothesis. A scheme that does not meet the
@@ -28,6 +30,7 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
+    _flags,
     deviations,
     divisors,
     generate,
@@ -42,11 +45,10 @@ from .density import (
     asc_theta_verdict,
     asc_verdict,
     block_density,
-    block_exceedance,
     check_grid,
-    exceedance_prefix,
     _block_bounds,
     _check_eps,
+    _first_hit,
     _interval_sums,
     _intervals,
 )
@@ -119,13 +121,18 @@ def _scheme_preview(scheme: LacunaryScheme | None) -> list[int] | None:
     return list(pts) if len(pts) <= 12 else list(pts[:6]) + [-1] + list(pts[-5:])
 
 
-def _axis_sets(x: SeqSample, n: int, eps: float, axis: str,
-               scheme: LacunaryScheme | None) -> list:
-    """Exceedance sets along one axis: the full prefix, or every fitting block."""
+def _axis_hit(mask: np.ndarray, axis: str,
+              scheme: LacunaryScheme | None) -> tuple[int, list[int]] | None:
+    """(at, first 20 flagged m) of the first interval of a set check holding a flag.
+
+    The prefix axis is the one interval (0, T], reported at T; the block axis
+    is every block that fits the sample, each reported at its number r.
+    """
     if axis == "prefix":
-        return [exceedance_prefix(x, n, eps, x.length)]
-    _, ends = _intervals(x.length, axis, scheme)
-    return [block_exceedance(x, scheme, n, eps, r) for r in range(1, ends.size + 1)]
+        hit = _first_hit(mask, np.array([0]), np.array([mask.size]))
+        return None if hit is None else (mask.size, hit[1])
+    hit = _first_hit(mask, *_intervals(mask.size, axis, scheme))
+    return None if hit is None else (hit[0] + 1, hit[1])
 
 
 def check_scalar_closure(x: SeqSample, c: float, n: int, eps: float,
@@ -141,22 +148,12 @@ def check_scalar_closure(x: SeqSample, c: float, n: int, eps: float,
         "axis": axis, "scheme": _scheme_preview(scheme),
     }
     if c == 0:
-        sets = _axis_sets(0.0 * x, n, eps, axis, scheme)
-        bad = [s for s in sets if s.members]
-        return CheckReport(
-            "scalar_closure", instance, not bad,
-            None if not bad else {"nonempty_at": bad[0].index},
-        )
-    left = _axis_sets(c * x, n, eps, axis, scheme)
-    right = _axis_sets(x, n, eps / abs(c), axis, scheme)
-    for ls, rs in zip(left, right):
-        if ls.members != rs.members:
-            extra = sorted(set(ls.members) ^ set(rs.members))[:20]
-            return CheckReport(
-                "scalar_closure", instance, False,
-                {"at": ls.index, "symmetric_difference": extra},
-            )
-    return CheckReport("scalar_closure", instance, True)
+        hit = _axis_hit(_flags(0.0 * x, n, eps), axis, scheme)
+        return CheckReport("scalar_closure", instance, hit is None,
+                           None if hit is None else {"nonempty_at": hit[0]})
+    hit = _axis_hit(_flags(c * x, n, eps) ^ _flags(x, n, eps / abs(c)), axis, scheme)
+    return CheckReport("scalar_closure", instance, hit is None, None if hit is None else
+                       {"at": hit[0], "symmetric_difference": hit[1]})
 
 
 def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
@@ -169,17 +166,10 @@ def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
         "recipe_x": x.recipe, "recipe_y": y.recipe, "length": x.length,
         "n": n, "eps": eps, "axis": axis, "scheme": _scheme_preview(scheme),
     }
-    whole = _axis_sets(x + y, n, eps, axis, scheme)
-    part_x = _axis_sets(x, n, eps / 2, axis, scheme)
-    part_y = _axis_sets(y, n, eps / 2, axis, scheme)
-    for ws, xs, ys in zip(whole, part_x, part_y):
-        stray = set(ws.members) - (set(xs.members) | set(ys.members))
-        if stray:
-            return CheckReport(
-                "sum_closure", instance, False,
-                {"at": ws.index, "outside_union": sorted(stray)[:20]},
-            )
-    return CheckReport("sum_closure", instance, True)
+    stray = _flags(x + y, n, eps) & ~(_flags(x, n, eps / 2) | _flags(y, n, eps / 2))
+    hit = _axis_hit(stray, axis, scheme)
+    return CheckReport("sum_closure", instance, hit is None, None if hit is None else
+                       {"at": hit[0], "outside_union": hit[1]})
 
 
 def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
@@ -208,20 +198,20 @@ def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
     the comparison is done on the integer counts; the reported densities are
     floats for the record only.
     """
-    k_r = scheme.block(r)[1]
-    pref = exceedance_prefix(x, n, eps, k_r)
-    blk = block_exceedance(x, scheme, n, eps, r)
+    lo, k_r = _block_bounds(x, scheme, r)
+    pref, blk = (int(c) for c in _interval_sums(_flags(x, n, eps), np.array([0, lo]),
+                                                np.array([k_r, k_r])))
     instance = {
         "recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
         "scheme": _scheme_preview(scheme),
     }
-    ok = pref.count >= blk.count
-    h_r = scheme.block_length(r)
+    ok = pref >= blk
+    h_r = k_r - lo
     return CheckReport(
         "lac1_bound", instance, ok,
         None if ok else {
-            "prefix_density": pref.density,
-            "scaled_block_density": (h_r / k_r) * blk.density,
+            "prefix_density": pref / k_r,
+            "scaled_block_density": (h_r / k_r) * (blk / h_r),
         },
     )
 
@@ -244,7 +234,7 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
         "delta": float(delta),
     }
     pairs = [p for p in rel.pairs if p.coarse_index <= avail]
-    flags = deviations(x, n) >= eps
+    flags = _flags(x, n, eps)
     fine_counts = _interval_sums(flags, np.array([p.lo for p in pairs]),
                                  np.array([p.hi for p in pairs]))
     coarse_counts = _interval_sums(flags, *_intervals(x.length, "block", coarse))

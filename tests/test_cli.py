@@ -17,6 +17,7 @@ from arithstat.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    MAX_LENGTH,
     main,
 )
 from arithstat.kernel import SparseSpike, generate
@@ -169,6 +170,7 @@ class TestAnalyze:
         ("--length", "0"),
         ("--length", "4"),  # too short for a full tail window of checkpoints
         ("--n-max", "0"),
+        ("--length", str(MAX_LENGTH + 1)),
     ])
     def test_bad_policy_is_config_error(self, tmp_path, const_spec, flags):
         rc = main(["analyze", "--input", const_spec, "--length", "1024",
@@ -340,6 +342,23 @@ class TestConsoleScript:
         assert proc.returncode == EXIT_INPUT, proc.stderr
         assert proc.stderr.startswith("input error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("spec, length, code", [
+        # checked against MAX_LENGTH before any array is allocated
+        ({"kind": "constant", "value": 1.0}, 10**12, EXIT_CONFIG),
+        # a prime modulus far past the length: the lookup table is cut to the length
+        ({"kind": "gcd_periodic", "modulus": 1000000000039,
+          "table": {"1": 0.0, "1000000000039": 1.0}}, 64, EXIT_OK),
+    ])
+    def test_oversized_input_ends_cleanly(self, tmp_path, spec, length, code):
+        path = write_json(tmp_path / "spec.json", spec)
+        proc = run_declared_entry_point(
+            "analyze", "--input", path, "--length", str(length),
+            "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == (code != EXIT_OK)
 
     @pytest.mark.skipif(shutil.which("arithstat") is None,
                         reason="arithstat console script is not installed on PATH")

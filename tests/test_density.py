@@ -13,7 +13,6 @@ from arithstat.kernel import (
     SeqSample,
     SparseSpike,
     divisors,
-    gcd_pair,
     generate,
 )
 from arithstat.density import (
@@ -35,7 +34,6 @@ from arithstat.density import (
     ntheta_norm,
     prefix_checkpoints,
     prefix_density,
-    stat_prefix_density,
 )
 from arithstat.lacunary import make_scheme
 from arithstat.theorems import ramp_sample
@@ -158,12 +156,6 @@ class TestDensityCurve:
 
 
 class TestMeansAndNorms:
-    def test_stat_prefix_density(self):
-        x = SeqSample([0.0, 1.0, 0.0, 1.0])
-        assert stat_prefix_density(x, 0.0, 0.5, 4) == 0.5
-        assert stat_prefix_density(x, 1.0, 0.5, 4) == 0.5
-        assert stat_prefix_density(x, 0.5, 0.4, 4) == 1.0
-
     def test_ac_sup_deviation(self):
         assert ac_sup_deviation(ramp_sample(100), 1) == 99.0
         assert ac_sup_deviation(gcdper(6, 100), 6) == 0.0
@@ -176,7 +168,7 @@ class TestMeansAndNorms:
         y = SeqSample(rng.integers(-16, 17, size=16) / 8.0)
         lo, hi = DYADIC_5.block(4)
         oracle = math.fsum(
-            abs(y.value(m) - y.value(gcd_pair(m, 6))) for m in range(lo + 1, hi + 1)
+            abs(y.value(m) - y.value(math.gcd(m, 6))) for m in range(lo + 1, hi + 1)
         ) / (hi - lo)
         assert ac_theta_block_mean(y, DYADIC_5, 6, 4) == oracle
 
@@ -319,6 +311,21 @@ class TestMeanVerdict:
         v = ac_theta_at_scale(x, self.SCHEME)
         assert v.outcome is Outcome.CONVERGENT
         assert v.tail_mean <= 0.02
+
+    def test_large_early_value_does_not_cancel_later_blocks(self):
+        # A running sum carrying 1e17 from x_3 swallows the later 0.5 block
+        # means at n = 1; each block must be summed on its own.
+        vals = np.where(np.arange(1, 2**16 + 1) % 2 == 0, 1.0, 0.0)
+        vals[2] = 1e17
+        x = SeqSample(vals)
+        scheme = make_scheme([2**j for j in range(17)])
+        policy = VerdictPolicy(n_max=4)
+        v = ac_theta_at_scale(x, scheme, policy)
+        assert v.outcome is Outcome.CONVERGENT
+        assert v.witness == 2
+        tail = [ac_theta_block_mean(x, scheme, 2, r) for r in range(9, 17)]
+        assert v.tail_mean == float(np.mean(tail))
+        assert ac_theta_block_mean(x, scheme, 1, 16) == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arithstat.kernel import SeqSample, gcd_pair
+from arithstat.kernel import SeqSample
 from arithstat.lacunary import (
     block_intersections,
     coarse_block_density_from_fine,
@@ -15,7 +15,6 @@ from arithstat.lacunary import (
     make_scheme,
     q_ratio_stats,
     refinement_map,
-    union_refinement,
 )
 
 DYADIC = make_scheme([1, 2, 4, 8, 16])
@@ -97,12 +96,6 @@ class TestRefinement:
         assert not is_refinement(DYADIC, make_scheme([1, 4, 16]))
         assert is_refinement(DYADIC, DYADIC)
 
-    def test_union_refines_both(self):
-        a, b = make_scheme([1, 4, 16]), make_scheme([1, 8, 16])
-        u = union_refinement(a, b)
-        assert u.points == (1, 4, 8, 16)
-        assert is_refinement(a, u) and is_refinement(b, u)
-
     def test_map_dyadic_over_coarse(self):
         rel = refinement_map(make_scheme([1, 4, 16]), DYADIC)
         assert rel.kind == "refinement"
@@ -129,7 +122,7 @@ class TestRefinement:
 
     def test_pairs_tile_each_coarse_block(self):
         coarse = make_scheme([1, 10, 100, 1000])
-        fine = union_refinement(coarse, make_scheme([1, 3, 7, 40, 77, 500, 1000]))
+        fine = make_scheme(sorted(set(coarse.points) | {1, 3, 7, 40, 77, 500, 1000}))
         rel = refinement_map(coarse, fine)
         for r in range(1, coarse.block_count + 1):
             assert sum(p.size for p in rel.pairs_of(r)) == coarse.block_length(r)
@@ -173,7 +166,7 @@ class TestIntersections:
 def density_oracle(x: SeqSample, lo: int, hi: int, n: int, eps: float) -> float:
     hits = sum(
         1 for m in range(lo + 1, hi + 1)
-        if abs(x.value(m) - x.value(gcd_pair(m, n))) >= eps
+        if abs(x.value(m) - x.value(math.gcd(m, n))) >= eps
     )
     return hits / (hi - lo)
 
@@ -183,7 +176,7 @@ class TestAggregation:
         rng = np.random.default_rng(9)
         x = SeqSample(rng.integers(-16, 17, size=1000) / 8.0)
         coarse = make_scheme([1, 4, 16, 64, 256, 1000])
-        fine = union_refinement(coarse, make_scheme([1, 2, 9, 40, 100, 500, 1000]))
+        fine = make_scheme(sorted(set(coarse.points) | {1, 2, 9, 40, 100, 500, 1000}))
         relation = refinement_map(coarse, fine)
         for r in range(1, coarse.block_count + 1):
             lo, hi = coarse.block(r)

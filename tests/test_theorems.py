@@ -1,6 +1,8 @@
 """Exact mechanism checks, inclusion experiments, and the randomized suites."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from arithstat.kernel import (
     generate,
 )
 from arithstat.density import Outcome, VerdictPolicy
-from arithstat.lacunary import make_scheme, union_refinement
+from arithstat.lacunary import make_scheme
 from arithstat.theorems import (
     MAX_LIMSUP,
     MIN_LIMINF,
@@ -76,6 +78,80 @@ class TestSumClosure:
             check_sum_closure(ramp_sample(10), ramp_sample(11), 1, 1.0)
 
 
+# ---------------------------------------------------------------------------
+# Failure witnesses. Tenths are not exact in binary, so scaling by 0.3 or
+# adding two samples moves some deviations across their threshold and the
+# float checks fail. Each report is recounted with plain index sets and
+# math.gcd, and a failing report's witness must name the same interval and
+# the same first 20 indices.
+# ---------------------------------------------------------------------------
+
+WITNESS_SCHEME = make_scheme([1, 2, 4, 8, 16, 32])
+X_TENTHS = [-2, 12, -8, -2, -17, -9, 19, -8, 15, 0, -11, 11, 4, 15, -10, -13, 18, -2, -19,
+            6, 18, 20, 5, 15, 11, -13, 11, 5, 1, 15, -20, 1, -10, -19, -12, 17, -2, 1, 18, 11]
+Y_TENTHS = [2, 18, 3, -5, 20, -8, 5, -13, 5, 20, 12, 3, 4, 14, 1, -20, 12, -13, 4, -16,
+            -12, 7, 10, -1, 11, 5, 16, 19, -20, 8, -12, -17, -14, 20, 0, -19, -20, 15, -13, 1]
+
+
+def exceed(vals: list[float], n: int, eps: float, lo: int, hi: int) -> set[int]:
+    return {m for m in range(lo + 1, hi + 1)
+            if abs(vals[m - 1] - vals[math.gcd(m, n) - 1]) >= eps}
+
+
+def set_witness(axis: str, length: int, key: str, stray) -> dict | None:
+    """Witness of the first interval (lo, hi] where stray(lo, hi) is nonempty."""
+    if axis == "prefix":
+        intervals = [(length, 0, length)]
+    else:
+        fit = WITNESS_SCHEME.blocks_within(length)
+        intervals = [(r, *WITNESS_SCHEME.block(r)) for r in range(1, fit + 1)]
+    for at, lo, hi in intervals:
+        found = stray(lo, hi)
+        if found:
+            return {"at": at, key: sorted(found)[:20]}
+    return None
+
+
+class TestFailureWitnesses:
+    @pytest.mark.parametrize("axis", ["prefix", "block"])
+    def test_scalar_closure_witness_matches_sets(self, axis):
+        c, eps = 0.3, 0.03
+        failed = 0
+        for seed in range(5):
+            vals = [k / 10 for k in np.random.default_rng(seed).integers(-20, 21, 40).tolist()]
+            scaled = [c * v for v in vals]
+            for n in (1, 2, 6):
+                rep = check_scalar_closure(SeqSample(vals), c, n, eps, axis, WITNESS_SCHEME)
+                expected = set_witness(
+                    axis, 40, "symmetric_difference",
+                    lambda lo, hi: (exceed(scaled, n, eps, lo, hi)
+                                    ^ exceed(vals, n, eps / abs(c), lo, hi)))
+                assert rep.passed == (expected is None)
+                assert rep.witness == expected
+                failed += not rep.passed
+        assert failed >= 3
+
+    @pytest.mark.parametrize("axis", ["prefix", "block"])
+    def test_sum_closure_witness_matches_sets(self, axis):
+        # x_15 + y_15 = -0.9 and x_3 + y_3 = -0.5 differ by 0.4, but the
+        # parts differ by 0.19999999999999996 and 0.19999999999999998
+        xs, ys = [k / 10 for k in X_TENTHS], [k / 10 for k in Y_TENTHS]
+        total = [a + b for a, b in zip(xs, ys)]
+        eps = 0.4
+        failing = []
+        for n in range(1, 9):
+            rep = check_sum_closure(SeqSample(xs), SeqSample(ys), n, eps, axis, WITNESS_SCHEME)
+            expected = set_witness(
+                axis, 40, "outside_union",
+                lambda lo, hi: exceed(total, n, eps, lo, hi) - (
+                    exceed(xs, n, eps / 2, lo, hi) | exceed(ys, n, eps / 2, lo, hi)))
+            assert rep.passed == (expected is None)
+            assert rep.witness == expected
+            if not rep.passed:
+                failing.append(n)
+        assert failing == [3, 6]
+
+
 class TestMarkovStep:
     def test_ramp_blocks(self):
         x = ramp_sample(16)
@@ -109,7 +185,7 @@ class TestDeltaTransfer:
     def test_refinement_pair(self):
         x = gcdper(6, 1024)
         coarse = make_scheme([1, 4, 16, 64, 256, 1024])
-        fine = union_refinement(coarse, make_scheme([1, 2, 9, 40, 100, 500, 1024]))
+        fine = make_scheme(sorted(set(coarse.points) | {1, 2, 9, 40, 100, 500, 1024}))
         rep = check_delta_transfer(x, coarse, fine, 3, 0.5)
         assert rep.passed
         assert 0 < rep.instance["delta"] < 1
