@@ -44,8 +44,10 @@ from .density import (
     ac_sup_deviation,
     ac_theta_at_scale,
     ac_theta_block_mean,
+    ac_theta_block_means,
     asc_theta_verdict,
     asc_verdict,
+    asc_verdicts,
     block_density,
     block_exceedance,
     density_curve,
@@ -99,10 +101,10 @@ __all__ = [
     "q_ratio_stats", "refinement_map",
     "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "ExceedanceSet",
     "MeanVerdict", "Outcome", "VerdictPolicy", "ac_sup_deviation",
-    "ac_theta_at_scale", "ac_theta_block_mean", "asc_theta_verdict",
-    "asc_verdict", "block_density", "block_exceedance", "density_curve",
-    "exceedance_prefix", "ntheta_mean", "ntheta_norm", "prefix_checkpoints",
-    "prefix_density",
+    "ac_theta_at_scale", "ac_theta_block_mean", "ac_theta_block_means",
+    "asc_theta_verdict", "asc_verdict", "asc_verdicts", "block_density",
+    "block_exceedance", "density_curve", "exceedance_prefix", "ntheta_mean",
+    "ntheta_norm", "prefix_checkpoints", "prefix_density",
     "CheckReport", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_scalar_closure", "check_sum_closure", "ramp_sample",

@@ -31,11 +31,10 @@ from .density import (
     DEFAULT_GRID,
     VerdictPolicy,
     ac_sup_deviation,
-    ac_theta_block_mean,
-    asc_theta_verdict,
+    ac_theta_block_means,
     asc_verdict,
+    asc_verdicts,
     check_grid,
-    density_curve,
     exceedance_prefix,
     ntheta_norm,
     Outcome,
@@ -81,8 +80,9 @@ CSV_HEADER = ("axis", "index", "epsilon", "witness_n", "density")
 #: Deepest nesting of `scaled` and `sum` nodes accepted in a generator spec.
 MAX_SPEC_DEPTH = 100
 #: Largest --length. A witness pass holds several full-length arrays of 8
-#: bytes per index (values, anchors, deviations, running counts), about 1 GiB
-#: at 2**25; that is 16 times the longest benchmark sample (2**21).
+#: bytes per index (values, deviations, the int64 copy of a flag array that
+#: the segment count reduces), about 1 GiB at 2**25; that is 16 times the
+#: longest benchmark sample (2**21).
 MAX_LENGTH = 2**25
 #: Errors of malformed JSON values, such as a number too large for a float.
 _VALUE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
@@ -317,16 +317,15 @@ def cmd_analyze(cfg: RunConfig) -> None:
     scheme = load_scheme(cfg.schemes[0]) if cfg.schemes else None
     policy = cfg.policy()
     try:
-        asc = asc_verdict(x, cfg.grid, policy)
-        theta = asc_theta_verdict(x, scheme, cfg.grid, policy) if scheme else None
-        curves = [density_curve(x, asc.evaluated_n, e, "prefix", growth=cfg.growth)
-                  for e in cfg.grid]
+        if scheme is None:
+            asc, theta = asc_verdict(x, cfg.grid, policy), None
+        else:
+            asc, theta = asc_verdicts(x, scheme, cfg.grid, policy)
+        curves = list(asc.curves())
         block_means = norm = None
         if theta is not None:
-            curves += [density_curve(x, theta.evaluated_n, e, "block", scheme)
-                       for e in cfg.grid]
-            block_means = [ac_theta_block_mean(x, scheme, theta.evaluated_n, r)
-                           for r in range(1, scheme.blocks_within(x.length) + 1)]
+            curves += theta.curves()
+            block_means = ac_theta_block_means(x, scheme, theta.evaluated_n)
             norm = ntheta_norm(x, scheme)
     except ValueError as e:
         raise ConfigError(str(e)) from None

@@ -15,7 +15,7 @@ The theorem checks in `theorems` rely on these being exact index sets.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -41,10 +41,12 @@ __all__ = [
     "density_curve",
     "ac_sup_deviation",
     "ac_theta_block_mean",
+    "ac_theta_block_means",
     "ntheta_mean",
     "ntheta_norm",
     "asc_verdict",
     "asc_theta_verdict",
+    "asc_verdicts",
     "ac_theta_at_scale",
 ]
 
@@ -205,11 +207,17 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
 def _interval_sums(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Integer counts of the set flags[m - 1] over lo < m <= hi, for each interval (lo, hi].
 
-    Counts are differences of one running sum, which is exact for integers
-    only; float values are summed per interval with math.fsum instead.
+    The sorted union of 0 and all bounds cuts 1..max(hi) into segments, and
+    np.add.reduceat counts each segment once. An interval's count is the
+    running segment count at hi minus the one at lo. The flags are cut at the
+    largest bound first, because reduceat's last segment runs to the end of
+    the array. Exact for integers only; float values are summed per interval
+    with math.fsum instead.
     """
-    cum = np.cumsum(flags)
-    return cum[hi - 1] - np.where(lo > 0, cum[lo - 1], 0)
+    cuts, at = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
+    run = np.zeros(cuts.size, dtype=np.int64)
+    np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=np.int64), out=run[1:])
+    return run[at[1 + lo.size:]] - run[at[1:1 + lo.size]]
 
 
 def _first_hit(mask: np.ndarray, lo: np.ndarray,
@@ -227,6 +235,15 @@ def _first_hit(mask: np.ndarray, lo: np.ndarray,
     return i, [a + 1 + int(j) for j in np.flatnonzero(mask[a:hi[i]])[:20]]
 
 
+def _curve_index(axis: str, hi: np.ndarray) -> np.ndarray:
+    """The curve index of each interval: t for a prefix (0, t], r for block r."""
+    return hi if axis == "prefix" else np.arange(1, hi.size + 1)
+
+
+def _curve(axis: str, eps: float, n: int, index: np.ndarray, vals: np.ndarray) -> DensityCurve:
+    return DensityCurve(axis, eps, n, tuple(zip(index.tolist(), vals.tolist())))
+
+
 def density_curve(x: SeqSample, n: int, eps: float, axis: str,
                   scheme: LacunaryScheme | None = None,
                   growth: float = 1.3) -> DensityCurve:
@@ -239,8 +256,7 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     eps = _check_eps(eps)
     lo, hi = _intervals(x.length, axis, scheme, growth)
     vals = _interval_sums(deviations(x, n) >= eps, lo, hi) / (hi - lo)
-    index = hi if axis == "prefix" else range(1, hi.size + 1)
-    return DensityCurve(axis, eps, n, tuple((int(i), float(v)) for i, v in zip(index, vals)))
+    return _curve(axis, eps, n, _curve_index(axis, hi), vals)
 
 
 def ac_sup_deviation(x: SeqSample, n: int) -> float:
@@ -252,6 +268,17 @@ def ac_theta_block_mean(x: SeqSample, scheme: LacunaryScheme, n: int, r: int) ->
     """(1/h_r) * sum over block r of |x_m - x_<m,n>|."""
     lo, hi = _block_bounds(x, scheme, r)
     return math.fsum(deviations(x, n)[lo:hi]) / (hi - lo)
+
+
+def _block_means(dev: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The math.fsum of dev over each interval (lo, hi], divided by its length."""
+    return np.array([math.fsum(dev[a:b]) for a, b in zip(lo, hi)]) / (hi - lo)
+
+
+def ac_theta_block_means(x: SeqSample, scheme: LacunaryScheme, n: int) -> list[float]:
+    """`ac_theta_block_mean` of every block inside the sample, from one deviation pass."""
+    lo, hi = _intervals(x.length, "block", scheme)
+    return _block_means(deviations(x, n), lo, hi).tolist()
 
 
 def ntheta_mean(x: SeqSample, scheme: LacunaryScheme, level: float, r: int) -> float:
@@ -323,7 +350,10 @@ class ConvergenceVerdict:
     `witness` is present exactly when the outcome is ConvergentAtScale and is
     then the smallest passing modulus. `tail_densities` pairs each grid
     epsilon with the tail average of its density curve at `evaluated_n` (the
-    witness when convergent, otherwise the best candidate seen).
+    witness when convergent, otherwise the best candidate seen). The curves
+    behind those tails are kept as evidence outside `to_dict`: their index
+    (t or r) and one row of densities per grid epsilon; `curves()` returns
+    them as DensityCurve objects.
     """
 
     outcome: Outcome
@@ -333,10 +363,19 @@ class ConvergenceVerdict:
     tail_densities: tuple[tuple[float, float], ...]
     grid: tuple[float, ...]
     policy: VerdictPolicy
+    curve_index: np.ndarray | None = field(default=None, compare=False, repr=False)
+    curve_densities: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.witness is not None) != (self.outcome is Outcome.CONVERGENT):
             raise ValueError("witness must be present iff the outcome is ConvergentAtScale")
+
+    def curves(self) -> tuple[DensityCurve, ...]:
+        """The density curve of each grid epsilon at evaluated_n (none if not kept)."""
+        if self.curve_densities is None:
+            return ()
+        return tuple(_curve(self.axis, e, self.evaluated_n, self.curve_index, row)
+                     for e, row in zip(self.grid, self.curve_densities))
 
     def tail_of(self, eps: float) -> float:
         for e, t in self.tail_densities:
@@ -419,20 +458,41 @@ def _search(make_curves: Callable[[int], list[np.ndarray]],
     return outcome, None, best[1], best[2]
 
 
-def _density_verdict(x: SeqSample, scheme: LacunaryScheme | None, axis: str,
-                     grid: Sequence[float], policy: VerdictPolicy | None) -> ConvergenceVerdict:
-    """Witness search over the per-epsilon density curves of one axis."""
+def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
+                      grid: Sequence[float],
+                      policy: VerdictPolicy | None) -> list[ConvergenceVerdict]:
+    """Witness searches over the per-epsilon density curves of each axis in `axes`.
+
+    A witness n costs one deviation pass, and each epsilon one flag array
+    counted over the intervals of every axis at once. The densities are kept
+    by n, so an axis that searches further reuses the passes made for the
+    others; each axis still stops at its own smallest passing n.
+    """
     grid = check_grid(grid)
     policy = policy or DEFAULT_POLICY
-    lo, hi = _intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
+    bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
+              for axis in axes]
+    lo = np.concatenate([b[0] for b in bounds])
+    hi = np.concatenate([b[1] for b in bounds])
     span = hi - lo
+    kept: dict[int, list[np.ndarray]] = {}
 
-    def curves(n: int) -> list[np.ndarray]:
-        dev = deviations(x, n)
-        return [_interval_sums(dev >= e, lo, hi) / span for e in grid]
+    def densities(n: int) -> list[np.ndarray]:
+        if n not in kept:
+            dev = deviations(x, n)
+            kept[n] = [_interval_sums(dev >= e, lo, hi) / span for e in grid]
+        return kept[n]
 
-    outcome, witness, n, tails = _search(curves, policy)
-    return ConvergenceVerdict(outcome, witness, n, axis, tuple(zip(grid, tails)), grid, policy)
+    verdicts, start = [], 0
+    for axis, (_, axis_hi) in zip(axes, bounds):
+        part = slice(start, start + axis_hi.size)
+        start = part.stop
+        outcome, witness, n, tails = _search(
+            lambda k, part=part: [d[part] for d in densities(k)], policy)
+        verdicts.append(ConvergenceVerdict(
+            outcome, witness, n, axis, tuple(zip(grid, tails)), grid, policy,
+            _curve_index(axis, axis_hi), np.array([d[part] for d in densities(n)])))
+    return verdicts
 
 
 def asc_verdict(x: SeqSample, grid: Sequence[float] = DEFAULT_GRID,
@@ -444,7 +504,7 @@ def asc_verdict(x: SeqSample, grid: Sequence[float] = DEFAULT_GRID,
     `_search` for the decision rule. Raises when the sample is too short to
     supply a full tail window of checkpoints.
     """
-    return _density_verdict(x, None, "prefix", grid, policy)
+    return _density_verdicts(x, None, ("prefix",), grid, policy)[0]
 
 
 def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
@@ -455,7 +515,21 @@ def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
     Same decision rule as `asc_verdict`, with block density curves in place of
     prefix curves. Requires at least `tail_window` blocks inside the sample.
     """
-    return _density_verdict(x, scheme, "block", grid, policy)
+    return _density_verdicts(x, scheme, ("block",), grid, policy)[0]
+
+
+def asc_verdicts(x: SeqSample, scheme: LacunaryScheme,
+                 grid: Sequence[float] = DEFAULT_GRID,
+                 policy: VerdictPolicy | None = None
+                 ) -> tuple[ConvergenceVerdict, ConvergenceVerdict]:
+    """(`asc_verdict`, `asc_theta_verdict`) of one sample, from shared passes.
+
+    Both searches count every witness from the same deviation pass, so a
+    witness tried on both axes is computed once. The prefix axis is checked
+    first: a sample too short for both raises the prefix axis's error.
+    """
+    asc, theta = _density_verdicts(x, scheme, ("prefix", "block"), grid, policy)
+    return asc, theta
 
 
 def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
@@ -469,11 +543,6 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     """
     policy = policy or DEFAULT_POLICY
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
-    h = hi - lo
-
-    def means(n: int) -> list[np.ndarray]:
-        dev = deviations(x, n)
-        return [np.array([math.fsum(dev[a:b]) for a, b in zip(lo, hi)]) / h]
-
-    outcome, witness, n, tails = _search(means, policy)
+    outcome, witness, n, tails = _search(
+        lambda k: [_block_means(deviations(x, k), lo, hi)], policy)
     return MeanVerdict(outcome, witness, n, tails[0], policy)

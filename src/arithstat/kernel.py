@@ -130,8 +130,21 @@ def gcd_anchors(length: int, n: int) -> np.ndarray:
 
 
 def deviations(x: SeqSample, n: int) -> np.ndarray:
-    """All deviations |x_m - x_<m,n>| for m = 1..T as one array (entry m - 1)."""
-    return np.abs(x.values - x.values[gcd_anchors(x.length, n)])
+    """All deviations |x_m - x_<m,n>| for m = 1..T as one array (entry m - 1).
+
+    The anchor values x_gcd(m, n) repeat with period n, so one period of them
+    is broadcast over the sample, row by row, with no full-length anchor array.
+    """
+    n = check_witness(n)
+    v = x.values
+    p = min(n, v.size)
+    anchors = v[np.gcd(np.arange(1, p + 1), n) - 1]
+    rows, rest = divmod(v.size, p)
+    out = np.empty_like(v)
+    full = rows * p
+    np.subtract(v[:full].reshape(rows, p), anchors, out=out[:full].reshape(rows, p))
+    np.subtract(v[full:], anchors[:rest], out=out[full:])
+    return np.abs(out, out=out)
 
 
 def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
@@ -144,6 +157,10 @@ def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
 # length always produce the same sample, randomness enters only through an
 # explicit integer seed inside the spec itself.
 # ---------------------------------------------------------------------------
+
+#: Largest gcd_periodic modulus. Its table is checked against divisors(),
+#: which trial-divides up to the square root: 2**20 steps at this limit.
+MAX_MODULUS = 2**40
 
 
 @dataclass(frozen=True)
@@ -172,6 +189,8 @@ class GcdPeriodic:
         n0 = int(self.modulus)
         if n0 < 1 or n0 != self.modulus:
             raise ValueError(f"modulus must be a positive integer, got {self.modulus!r}")
+        if n0 > MAX_MODULUS:
+            raise ValueError(f"modulus {n0} exceeds the limit {MAX_MODULUS}")
         tab = {int(k): float(v) for k, v in self.table.items()}
         if set(tab) != set(divisors(n0)):
             raise ValueError(f"table needs exactly one entry per divisor of {n0}")

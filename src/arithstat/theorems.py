@@ -43,7 +43,7 @@ from .density import (
     VerdictPolicy,
     ac_theta_at_scale,
     asc_theta_verdict,
-    asc_verdict,
+    asc_verdicts,
     block_density,
     check_grid,
     _block_bounds,
@@ -351,15 +351,13 @@ def run_inclusion_experiment(hypothesis: str,
     both_ways = hypothesis == "corollary"
     comparisons = []
     for name, x in family:
-        if hypothesis == "lac2":
-            left = asc_theta_verdict(x, scheme, grid, policy)
-            right = asc_verdict(x, grid, policy)
-        elif hypothesis == "ac_subset":
+        if hypothesis == "ac_subset":
             left = ac_theta_at_scale(x, scheme, policy)
             right = asc_theta_verdict(x, scheme, grid, policy)
-        else:  # lac1 and corollary share the left-to-right orientation
-            left = asc_verdict(x, grid, policy)
-            right = asc_theta_verdict(x, scheme, grid, policy)
+        else:
+            asc, theta = asc_verdicts(x, scheme, grid, policy)
+            # lac1 and corollary share the left-to-right orientation
+            left, right = (theta, asc) if hypothesis == "lac2" else (asc, theta)
         supports = not _contradicts(left, right, both_ways)
         comparisons.append(SequenceComparison(name, left, right, supports))
 

@@ -319,9 +319,10 @@ def run_declared_entry_point(*args):
     package_root = str(Path(arithstat.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    # a hang fails the test instead of stalling the suite
     return subprocess.run(
         [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -349,6 +350,8 @@ class TestConsoleScript:
         # a prime modulus far past the length: the lookup table is cut to the length
         ({"kind": "gcd_periodic", "modulus": 1000000000039,
           "table": {"1": 0.0, "1000000000039": 1.0}}, 64, EXIT_OK),
+        # past kernel.MAX_MODULUS: refused before its divisors are listed
+        ({"kind": "gcd_periodic", "modulus": 10**30, "table": {"1": 0.0}}, 64, EXIT_INPUT),
     ])
     def test_oversized_input_ends_cleanly(self, tmp_path, spec, length, code):
         path = write_json(tmp_path / "spec.json", spec)
@@ -359,6 +362,8 @@ class TestConsoleScript:
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == (code != EXIT_OK)
+        prefix = {EXIT_OK: "", EXIT_INPUT: "input error:", EXIT_CONFIG: "config error:"}
+        assert proc.stderr.startswith(prefix[code])
 
     @pytest.mark.skipif(shutil.which("arithstat") is None,
                         reason="arithstat console script is not installed on PATH")

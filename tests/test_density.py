@@ -23,8 +23,10 @@ from arithstat.density import (
     ac_sup_deviation,
     ac_theta_at_scale,
     ac_theta_block_mean,
+    ac_theta_block_means,
     asc_theta_verdict,
     asc_verdict,
+    asc_verdicts,
     block_density,
     block_exceedance,
     check_grid,
@@ -397,22 +399,30 @@ class TestBruteForceRecount:
         vals, points = case
         x, scheme = SeqSample(vals), make_scheme(points)
         length = len(vals)
+        shared = asc_verdicts(x, scheme, DEFAULT_GRID, RECOUNT_POLICY)
         for axis, verdict in (
             ("prefix", asc_verdict(x, DEFAULT_GRID, RECOUNT_POLICY)),
             ("block", asc_theta_verdict(x, scheme, DEFAULT_GRID, RECOUNT_POLICY)),
+            ("prefix", shared[0]),
+            ("block", shared[1]),
         ):
             intervals = brute_intervals(length, axis, points)
+            index = [hi for _, hi in intervals] if axis == "prefix" else list(
+                range(1, len(intervals) + 1))
             outcome, witness, evaluated_n, tails = brute_search(
                 lambda k: [brute_density_curve(vals, k, e, intervals) for e in DEFAULT_GRID])
-            assert (verdict.outcome.value, verdict.witness, verdict.evaluated_n) == (
-                outcome, witness, evaluated_n)
+            assert (verdict.axis, verdict.outcome.value, verdict.witness,
+                    verdict.evaluated_n) == (axis, outcome, witness, evaluated_n)
             assert [e for e, _ in verdict.tail_densities] == list(DEFAULT_GRID)
             for (_, got), want in zip(verdict.tail_densities, tails):
                 assert abs(got - want) <= 1e-12
+            assert [(c.axis, c.epsilon, c.witness) for c in verdict.curves()] == [
+                (axis, e, evaluated_n) for e in DEFAULT_GRID]
+            for e, curve in zip(DEFAULT_GRID, verdict.curves()):
+                assert curve.points == tuple(
+                    zip(index, brute_density_curve(vals, evaluated_n, e, intervals)))
             for e in DEFAULT_GRID:
                 curve = density_curve(x, n, e, axis, scheme, RECOUNT_POLICY.growth)
-                index = [hi for _, hi in intervals] if axis == "prefix" else list(
-                    range(1, len(intervals) + 1))
                 assert curve.points == tuple(
                     zip(index, brute_density_curve(vals, n, e, intervals)))
 
@@ -423,3 +433,32 @@ class TestBruteForceRecount:
         assert (mean.outcome.value, mean.witness, mean.evaluated_n) == (
             outcome, witness, evaluated_n)
         assert abs(mean.tail_mean - tails[0]) <= 1e-12
+        assert ac_theta_block_means(x, scheme, n) == brute_mean_curve(vals, n, blocks)
+
+
+class TestScalingMetamorphic:
+    """Scaling x by c = +-2**k and the grid by |c| scales every deviation and
+    threshold exactly, so no flag, density or search step may change."""
+
+    @given(case=recount_cases(), k=st.integers(-3, 3), sign=st.sampled_from((1, -1)))
+    @settings(max_examples=40, deadline=None)
+    def test_verdicts_keep_outcome_witness_and_tails(self, case, k, sign):
+        vals, points = case
+        x, scheme = SeqSample(vals), make_scheme(points)
+        c = sign * 2.0**k
+        cx, grid = c * x, tuple(abs(c) * e for e in DEFAULT_GRID)
+
+        def key(v):
+            return (v.axis, v.outcome, v.witness, v.evaluated_n,
+                    [t for _, t in v.tail_densities])
+
+        pairs = [
+            (asc_verdict(x, DEFAULT_GRID, RECOUNT_POLICY),
+             asc_verdict(cx, grid, RECOUNT_POLICY)),
+            (asc_theta_verdict(x, scheme, DEFAULT_GRID, RECOUNT_POLICY),
+             asc_theta_verdict(cx, scheme, grid, RECOUNT_POLICY)),
+            *zip(asc_verdicts(x, scheme, DEFAULT_GRID, RECOUNT_POLICY),
+                 asc_verdicts(cx, scheme, grid, RECOUNT_POLICY)),
+        ]
+        for plain, scaled in pairs:
+            assert key(scaled) == key(plain)

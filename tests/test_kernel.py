@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arithstat.kernel import (
+    MAX_MODULUS,
     Constant,
     GcdPeriodic,
     Scaled,
@@ -216,6 +217,13 @@ class TestGcdPeriodic:
             GcdPeriodic(6, {1: 0.0, 2: 0.0, 3: 0.0, 6: 0.0, 5: 0.0})
         with pytest.raises(ValueError, match="modulus"):
             GcdPeriodic(0, {})
+
+    def test_modulus_is_bounded_before_its_divisors_are_listed(self):
+        table = {d: 0.0 for d in divisors(MAX_MODULUS)}
+        assert GcdPeriodic(MAX_MODULUS, table).modulus == MAX_MODULUS
+        # 10**30 would take 10**15 trial divisions
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            GcdPeriodic(10**30, {1: 0.0})
 
 
 class TestSparseSpike:

@@ -2,8 +2,9 @@
 
 The digests below were recorded from these same runs before the counting,
 search and suite code was consolidated (x86-64 Linux, Python 3.11, numpy
-2.4). Any change to a verdict, a density, a scheme generator or a suite
-draw shows up as a changed digest.
+2.4); those of `analyze-noise` were recorded before both verdict axes came to
+share one deviation pass per witness. Any change to a verdict, a density, a
+scheme generator or a suite draw shows up as a changed digest.
 """
 from __future__ import annotations
 
@@ -23,13 +24,29 @@ INPUTS = {
     "geometric.json": {"geometric": {"ratio": 1.5, "count": 24, "start": 1}},
     "polynomial.json": {"polynomial": {"degree": 2, "count": 40}},
     "dyadic.json": {"geometric": {"ratio": 2, "count": 12}},
+    # its last block ends at 1477, before the end of the 3000-value sample
+    "ratio15.json": {"geometric": {"ratio": 1.5, "count": 18, "start": 1}},
 }
+
+
+def noise_lines(count: int, seed: int = 3) -> str:
+    """Multiples of 1/8 in [-8, 8] from a fixed linear congruential generator."""
+    state, lines = seed, []
+    for _ in range(count):
+        state = (state * 1103515245 + 12345) % 2**31
+        lines.append(f"{((state >> 16) % 129 - 64) / 8}\n")
+    return "".join(lines)
+
 
 RUNS = {
     "analyze": ["analyze", "--input", "spec.json", "--length", "4096",
                 "--scheme", "dyadic.json"],
     "scheme": ["scheme", "--scheme", "geometric.json", "--scheme", "polynomial.json"],
     "verify": ["verify", "--instances", "20", "--seed", "7"],
+    # no witness up to 16 on either axis, and the two axes end at different
+    # evaluated_n (16 on the prefix axis, 5 on the block axis)
+    "analyze-noise": ["analyze", "--input", "noise.csv", "--scheme", "ratio15.json",
+                      "--n-max", "16"],
 }
 
 EXPECTED = {
@@ -42,6 +59,9 @@ EXPECTED = {
     "scheme/scheme_report.json": "1a0eacb1759ad15c9ce10d379af2082b797a5b0bee5c39a239a4964ae912737f",
     "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
     "verify/verify_report.json": "5a4bd89459549451ff068ff44887348d32f9e96f75495af707f7f063cb0bfad0",
+    "analyze-noise/stdout": "dca6dbcc3b749ac4cae19ddcc3b916993900749ede16a992bf59f9adfbce793e",
+    "analyze-noise/curves.csv": "b433d07852aaf9136805c742c63c0511766006ecfb2477b46850994d504508a4",
+    "analyze-noise/report.json": "620cf388d13b188a5f79839d9d391b23f436d0c731df916991bc3ca3875efb4b",
 }
 
 
@@ -53,6 +73,7 @@ def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # relative paths keep the embedded config stable
     for name, obj in INPUTS.items():
         Path(name).write_text(json.dumps(obj))
+    Path("noise.csv").write_text(noise_lines(3000))
     digests = {}
     for out, argv in RUNS.items():
         assert main([*argv, "--out", out]) == EXIT_OK
