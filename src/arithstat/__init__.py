@@ -27,7 +27,6 @@ from .lacunary import (
     RelationPair,
     SchemeRelation,
     block_intersections,
-    coarse_block_density_from_fine,
     is_refinement,
     make_scheme,
     q_ratio_stats,
@@ -50,6 +49,7 @@ from .density import (
     asc_verdicts,
     block_density,
     block_exceedance,
+    coarse_block_density_from_fine,
     density_curve,
     exceedance_prefix,
     ntheta_mean,
@@ -97,14 +97,14 @@ __all__ = [
     "SparseSpike", "Summed", "check_witness", "describe_spec", "deviation",
     "deviations", "divisors", "generate", "spike_support",
     "LacunaryScheme", "RelationPair", "SchemeRelation", "block_intersections",
-    "coarse_block_density_from_fine", "is_refinement", "make_scheme",
-    "q_ratio_stats", "refinement_map",
+    "is_refinement", "make_scheme", "q_ratio_stats", "refinement_map",
     "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "ExceedanceSet",
     "MeanVerdict", "Outcome", "VerdictPolicy", "ac_sup_deviation",
     "ac_theta_at_scale", "ac_theta_block_mean", "ac_theta_block_means",
     "asc_theta_verdict", "asc_verdict", "asc_verdicts", "block_density",
-    "block_exceedance", "density_curve", "exceedance_prefix", "ntheta_mean",
-    "ntheta_norm", "prefix_checkpoints", "prefix_density",
+    "block_exceedance", "coarse_block_density_from_fine", "density_curve",
+    "exceedance_prefix", "ntheta_mean", "ntheta_norm", "prefix_checkpoints",
+    "prefix_density",
     "CheckReport", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_scalar_closure", "check_sum_closure", "ramp_sample",

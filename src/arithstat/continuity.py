@@ -352,8 +352,6 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
         "recipe": x.recipe, "n": n, "eps": eps,
         "scheme": list(scheme.points[:8]),
     }
-    if scheme.blocks_within(x.length) < 1:
-        raise ValueError("no block of the scheme fits inside the sample")
     anchors = gcd_anchors(x.length, n)
     fx = apply_fn(f, x.values)
     fNx = apply_fn(fn, x.values)

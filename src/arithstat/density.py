@@ -17,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SeqSample, _check_eps, check_witness, deviations
-from .lacunary import LacunaryScheme
+from .kernel import SeqSample, _check_eps, _flags, check_witness, deviations
+from .lacunary import LacunaryScheme, SchemeRelation
 
 __all__ = [
     "DEFAULT_GRID",
@@ -37,6 +38,7 @@ __all__ = [
     "prefix_density",
     "block_exceedance",
     "block_density",
+    "coarse_block_density_from_fine",
     "prefix_checkpoints",
     "density_curve",
     "ac_sup_deviation",
@@ -52,6 +54,8 @@ __all__ = [
 
 #: Default threshold grid, strictly decreasing.
 DEFAULT_GRID = (1.0, 0.5, 0.1, 0.05, 0.01)
+#: Most steps, about log(length) / log(growth), that `prefix_checkpoints` may take.
+MAX_CHECKPOINT_STEPS = 100_000
 
 
 def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
@@ -158,6 +162,25 @@ def block_density(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float, r: i
     return block_exceedance(x, scheme, n, eps, r).density
 
 
+def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: int,
+                                   eps: float) -> list[float]:
+    """The density of every coarse block inside the sample, aggregated from its fine blocks.
+
+    `relation` is `refinement_map(coarse, fine)`. Coarse block r gets
+    (1/h_r) * sum over the fine blocks j tiling it of h*_j * (fine block
+    density), in block order, with every fine block counted from one
+    exceedance flag pass. Equal to the directly counted coarse block density
+    up to float rounding (the suite pins the gap at 1e-12).
+    """
+    beyond = {p.coarse_index for p in relation.pairs if p.hi > x.length}
+    pairs = [p for p in relation.pairs if p.coarse_index not in beyond]
+    counts = _interval_sums(_flags(x, n, eps), np.array([p.lo for p in pairs], dtype=np.int64),
+                            np.array([p.hi for p in pairs], dtype=np.int64)).tolist()
+    coarse_size = {p.coarse_index: p.coarse_size for p in pairs}
+    return [math.fsum(p.size * (count / p.size) for p, count in block) / coarse_size[r]
+            for r, block in groupby(zip(pairs, counts), key=lambda pc: pc[0].coarse_index)]
+
+
 def prefix_checkpoints(length: int, growth: float = 1.3) -> tuple[int, ...]:
     """Logarithmically spaced prefix lengths floor(growth^j), ending at `length`.
 
@@ -168,6 +191,9 @@ def prefix_checkpoints(length: int, growth: float = 1.3) -> tuple[int, ...]:
         raise ValueError(f"length must be a positive integer, got {length!r}")
     if not growth > 1:
         raise ValueError(f"growth must exceed 1, got {growth!r}")
+    if math.log(length) / math.log(growth) > MAX_CHECKPOINT_STEPS:
+        raise ValueError(f"growth {growth!r} needs over {MAX_CHECKPOINT_STEPS} steps "
+                         f"to reach length {length}")
     ts: list[int] = []
     v = growth
     while v <= length:
@@ -186,7 +212,7 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
 
     The prefix axis has one interval (0, t] per log-spaced checkpoint t; the
     block axis has the blocks (k_{r-1}, k_r] that end inside the sample.
-    Raises when there are fewer than `need` of them.
+    Raises when there are fewer than `need` of them, or none at all.
     """
     if axis == "prefix":
         hi = np.asarray(prefix_checkpoints(length, growth))
@@ -198,7 +224,8 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
             raise ValueError("block axis needs a scheme")
         avail = scheme.blocks_within(length)
         if avail < need:
-            raise ValueError(f"{avail} blocks of the scheme fit the sample, fewer than {need}")
+            raise ValueError(f"{avail} blocks of the scheme fit the sample, fewer than {need}"
+                             if avail else "no block of the scheme fits inside the sample")
         pts = np.asarray(scheme.points[: avail + 1])
         return pts[:-1], pts[1:]
     raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
@@ -218,6 +245,11 @@ def _interval_sums(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     run = np.zeros(cuts.size, dtype=np.int64)
     np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=np.int64), out=run[1:])
     return run[at[1 + lo.size:]] - run[at[1:1 + lo.size]]
+
+
+def _interval_fsums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """math.fsum of values[m - 1] over lo < m <= hi, per interval: no other value cancels it."""
+    return np.array([math.fsum(values[a:b]) for a, b in zip(lo, hi)])
 
 
 def _first_hit(mask: np.ndarray, lo: np.ndarray,
@@ -270,15 +302,10 @@ def ac_theta_block_mean(x: SeqSample, scheme: LacunaryScheme, n: int, r: int) ->
     return math.fsum(deviations(x, n)[lo:hi]) / (hi - lo)
 
 
-def _block_means(dev: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The math.fsum of dev over each interval (lo, hi], divided by its length."""
-    return np.array([math.fsum(dev[a:b]) for a, b in zip(lo, hi)]) / (hi - lo)
-
-
 def ac_theta_block_means(x: SeqSample, scheme: LacunaryScheme, n: int) -> list[float]:
     """`ac_theta_block_mean` of every block inside the sample, from one deviation pass."""
     lo, hi = _intervals(x.length, "block", scheme)
-    return _block_means(deviations(x, n), lo, hi).tolist()
+    return (_interval_fsums(deviations(x, n), lo, hi) / (hi - lo)).tolist()
 
 
 def ntheta_mean(x: SeqSample, scheme: LacunaryScheme, level: float, r: int) -> float:
@@ -291,10 +318,8 @@ def ntheta_mean(x: SeqSample, scheme: LacunaryScheme, level: float, r: int) -> f
 
 def ntheta_norm(x: SeqSample, scheme: LacunaryScheme) -> float:
     """max over available blocks of the block mean of |x_m| (truncation sup norm)."""
-    avail = scheme.blocks_within(x.length)
-    if avail < 1:
-        raise ValueError("no block of the scheme fits inside the sample")
-    return max(ntheta_mean(x, scheme, 0.0, r) for r in range(1, avail + 1))
+    lo, hi = _intervals(x.length, "block", scheme)
+    return float((_interval_fsums(np.abs(x.values), lo, hi) / (hi - lo)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -544,5 +569,5 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     policy = policy or DEFAULT_POLICY
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
     outcome, witness, n, tails = _search(
-        lambda k: [_block_means(deviations(x, k), lo, hi)], policy)
+        lambda k: [_interval_fsums(deviations(x, k), lo, hi) / (hi - lo)], policy)
     return MeanVerdict(outcome, witness, n, tails[0], policy)

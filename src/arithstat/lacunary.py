@@ -9,15 +9,12 @@ floats or as exact fractions where a comparison depends on them.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, takewhile
 from typing import Callable, Iterable, Iterator
-
-from .kernel import _flags
 
 __all__ = [
     "LacunaryScheme",
@@ -34,7 +31,6 @@ __all__ = [
     "SchemeRelation",
     "refinement_map",
     "block_intersections",
-    "coarse_block_density_from_fine",
 ]
 
 #: Largest breakpoint a scheme may hold, so every index fits a signed 64-bit integer.
@@ -297,24 +293,3 @@ def block_intersections(a: LacunaryScheme, b: LacunaryScheme) -> SchemeRelation:
     delta = min((p.ratio for p in pairs), default=None)
     return SchemeRelation("general-pair", tuple(pairs), delta)
 
-
-def coarse_block_density_from_fine(x, relation: SchemeRelation, fine: LacunaryScheme,
-                                   n: int, eps: float, r: int) -> float:
-    """Coarse block exceedance density aggregated from fine block densities.
-
-    `relation` is `refinement_map(coarse, fine)`, built once for every coarse
-    block r; the fine blocks are read from its pairs. Computes (1/h_r) * sum
-    over fine blocks inside coarse block r of h*_j * (fine block density),
-    counting every fine block from one exceedance flag pass. Equal to the
-    directly computed coarse block density up to float rounding (the suite
-    pins the gap at 1e-12).
-    """
-    pairs = relation.pairs_of(r)
-    if not pairs:
-        raise ValueError(f"block index {r} has no fine blocks in the relation")
-    for p in pairs:
-        if p.hi > len(x):
-            raise ValueError(f"block {p.fine_index} ends at {p.hi}, beyond sample length {len(x)}")
-    flags = _flags(x, n, eps)
-    total = math.fsum(p.size * (int(flags[p.lo:p.hi].sum()) / p.size) for p in pairs)
-    return total / pairs[0].coarse_size

@@ -1,12 +1,12 @@
 """Exact finite checks of the closure, bound, and transfer mechanisms.
 
 Each check_* function verifies one mechanism on one concrete instance and
-returns a CheckReport. The checks are exact: set identities compare the
-boolean exceedance flags of each index interval by interval, with one
-deviation pass per (sample, n, eps), and inequalities between counted
-densities are compared with denominators cleared in integer or Fraction
-arithmetic, so no floating tolerance is involved anywhere a mathematical
-identity is claimed.
+returns a CheckReport, or one per block inside the sample for the block
+checks. The checks are exact: set identities compare the boolean exceedance
+flags of each index interval by interval, with one deviation pass per
+(sample, n, eps), and inequalities between counted densities are compared
+with denominators cleared in integer or Fraction arithmetic, so no floating
+tolerance is involved anywhere a mathematical identity is claimed.
 
 run_inclusion_experiment compares convergence verdicts across a family of
 sequences for one inclusion hypothesis. A scheme that does not meet the
@@ -44,17 +44,17 @@ from .density import (
     ac_theta_at_scale,
     asc_theta_verdict,
     asc_verdicts,
-    block_density,
     check_grid,
-    _block_bounds,
+    coarse_block_density_from_fine,
+    density_curve,
     _check_eps,
     _first_hit,
+    _interval_fsums,
     _interval_sums,
     _intervals,
 )
 from .lacunary import (
     LacunaryScheme,
-    coarse_block_density_from_fine,
     compounding_points,
     factorial_points,
     make_scheme,
@@ -172,48 +172,51 @@ def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
                        {"at": hit[0], "outside_union": hit[1]})
 
 
-def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
-                      r: int) -> CheckReport:
-    """eps * |block exceedance| <= sum of deviations over the block."""
-    lo, hi = _block_bounds(x, scheme, r)
-    block = deviations(x, n)[lo:hi]  # one pass serves both sides
-    count = int(np.count_nonzero(block >= _check_eps(eps)))
-    total = math.fsum(block)
-    instance = {
-        "recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
-        "scheme": _scheme_preview(scheme),
-    }
-    ok = eps * count <= total
-    return CheckReport(
-        "markov_step", instance, ok,
-        None if ok else {"lhs": eps * count, "rhs": total},
-    )
+def _block_reports(name: str, x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
+                   witnesses: Iterable[dict | None]) -> list[CheckReport]:
+    """One report per block r = 1, 2, ..., passed exactly when its witness is None."""
+    return [
+        CheckReport(name, {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
+                           "r": r, "scheme": _scheme_preview(scheme)},
+                    witness is None, witness)
+        for r, witness in enumerate(witnesses, 1)
+    ]
 
 
-def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
-                     r: int) -> CheckReport:
-    """prefix_density at k_r >= (h_r / k_r) * block density of block r.
+def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int,
+                      eps: float) -> list[CheckReport]:
+    """eps * |block exceedance| <= sum of deviations over the block, for every block r.
 
-    Both sides reduce to exceedance counts over a common denominator k_r, so
-    the comparison is done on the integer counts; the reported densities are
-    floats for the record only.
+    One report per block inside the sample, in order, all from one deviation pass.
     """
-    lo, k_r = _block_bounds(x, scheme, r)
-    pref, blk = (int(c) for c in _interval_sums(_flags(x, n, eps), np.array([0, lo]),
-                                                np.array([k_r, k_r])))
-    instance = {
-        "recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
-        "scheme": _scheme_preview(scheme),
-    }
-    ok = pref >= blk
-    h_r = k_r - lo
-    return CheckReport(
-        "lac1_bound", instance, ok,
-        None if ok else {
+    lo, hi = _intervals(x.length, "block", scheme, need=0)
+    dev = deviations(x, n)
+    counts = _interval_sums(dev >= _check_eps(eps), lo, hi).tolist()
+    totals = _interval_fsums(dev, lo, hi).tolist()
+    return _block_reports("markov_step", x, scheme, n, eps, (
+        None if eps * count <= total else {"lhs": eps * count, "rhs": total}
+        for count, total in zip(counts, totals)))
+
+
+def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int,
+                     eps: float) -> list[CheckReport]:
+    """prefix_density at k_r >= (h_r / k_r) * block density of block r, for every block r.
+
+    One report per block inside the sample, in order. Both sides reduce to
+    exceedance counts over the common denominator k_r, so the integer counts
+    of every (0, k_r] and block, from one flag pass, are compared; the
+    reported densities are floats for the record only.
+    """
+    lo, hi = _intervals(x.length, "block", scheme, need=0)
+    counts = _interval_sums(_flags(x, n, eps), np.concatenate((np.zeros_like(lo), lo)),
+                            np.concatenate((hi, hi))).tolist()
+    return _block_reports("lac1_bound", x, scheme, n, eps, (
+        None if pref >= blk else {
             "prefix_density": pref / k_r,
-            "scaled_block_density": (h_r / k_r) * (blk / h_r),
-        },
-    )
+            "scaled_block_density": ((k_r - a) / k_r) * (blk / (k_r - a)),
+        }
+        for a, k_r, pref, blk in zip(lo.tolist(), hi.tolist(),
+                                     counts[:lo.size], counts[lo.size:])))
 
 
 def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
@@ -579,14 +582,12 @@ def _run_suite(name: str, seed: int, instances: int, max_length: int,
 _AXES = ("prefix", "block")
 
 
-def _block_suite(name: str, check_fn: Callable[..., CheckReport], seed: int,
+def _block_suite(name: str, check_fn: Callable[..., list[CheckReport]], seed: int,
                  instances: int, max_length: int) -> SuiteResult:
     """check_fn on every block of a random scheme, for each random instance."""
     result, blocks, _ = _run_suite(
         name, seed, instances, max_length,
-        lambda rng, x: (random_scheme(rng, x.length),),
-        lambda x, scheme, n, eps: (check_fn(x, scheme, n, eps, r)
-                                   for r in range(1, scheme.blocks_within(x.length) + 1)))
+        lambda rng, x: (random_scheme(rng, x.length),), check_fn)
     result.extra["blocks_checked"] = blocks
     return result
 
@@ -634,10 +635,9 @@ def refinement_aggregation_suite(seed: int, instances: int = 500,
                                  tolerance: float = 1e-12) -> SuiteResult:
     """Aggregated coarse density equals the direct one within the pinned tolerance."""
     def check(x, coarse, fine, n, eps):
-        rel = refinement_map(coarse, fine)
-        for r in range(1, coarse.blocks_within(x.length) + 1):
-            agg = coarse_block_density_from_fine(x, rel, fine, n, eps, r)
-            direct = block_density(x, coarse, n, eps, r)
+        aggregated = coarse_block_density_from_fine(x, refinement_map(coarse, fine), n, eps)
+        counted = density_curve(x, n, eps, "block", coarse).values
+        for r, (agg, direct) in enumerate(zip(aggregated, counted), 1):
             err = abs(agg - direct)
             yield CheckReport(
                 "refinement_aggregation",

@@ -365,6 +365,19 @@ class TestConsoleScript:
         prefix = {EXIT_OK: "", EXIT_INPUT: "input error:", EXIT_CONFIG: "config error:"}
         assert proc.stderr.startswith(prefix[code])
 
+    def test_growth_too_close_to_one_is_refused(self, tmp_path):
+        # about log(1024) / log(growth) = 7e9 checkpoint steps: refused up front
+        data = tmp_path / "small.csv"
+        data.write_text("".join(f"{m % 17 / 8}\n" for m in range(1024)))
+        proc = run_declared_entry_point(
+            "analyze", "--input", str(data), "--growth", "1.000000001",
+            "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.skipif(shutil.which("arithstat") is None,
                         reason="arithstat console script is not installed on PATH")
     def test_installed_script_smoke(self, tmp_path):

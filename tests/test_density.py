@@ -30,6 +30,7 @@ from arithstat.density import (
     block_density,
     block_exceedance,
     check_grid,
+    coarse_block_density_from_fine,
     density_curve,
     exceedance_prefix,
     ntheta_mean,
@@ -37,8 +38,8 @@ from arithstat.density import (
     prefix_checkpoints,
     prefix_density,
 )
-from arithstat.lacunary import make_scheme
-from arithstat.theorems import ramp_sample
+from arithstat.lacunary import make_scheme, refinement_map
+from arithstat.theorems import check_lac1_bound, check_markov_step, ramp_sample
 
 SPIKES_16 = generate(SparseSpike(height=1.0, support=(2, 4, 8, 16)), 16)
 DYADIC_5 = make_scheme([1, 2, 4, 8, 16])
@@ -124,6 +125,15 @@ class TestCheckpoints:
             prefix_checkpoints(100, growth=1.0)
         with pytest.raises(ValueError, match="length"):
             prefix_checkpoints(0)
+
+    def test_step_count_is_bounded(self):
+        # 1.0002 needs about 87,000 steps to reach 2^25, 1.0001 about 173,000
+        assert prefix_checkpoints(2**25, growth=1.0002)[-1] == 2**25
+        with pytest.raises(ValueError, match="steps"):
+            prefix_checkpoints(2**25, growth=1.0001)
+        with pytest.raises(ValueError, match="steps"):
+            prefix_checkpoints(1024, growth=1.000000001)
+        assert prefix_checkpoints(1, growth=1.000000001) == (1,)
 
 
 class TestDensityCurve:
@@ -380,7 +390,9 @@ def brute_search(curves_of, policy=RECOUNT_POLICY):
 def recount_cases(draw):
     """A dyadic gcd-periodic sample (modulus 1..8), sometimes plus a ramp and
     perturbed at a few indices, and a scheme with at least four blocks inside
-    the sample."""
+    the sample. Some draws put a huge value at an index m <= 8, which every
+    later m with gcd(m, n) = that index deviates from, so a block sum that
+    carried it from an earlier block would lose the small deviations."""
     length = draw(st.integers(64, 400))
     n0 = draw(st.integers(1, 8))
     table = {d: draw(st.integers(-16, 16)) / 8 for d in divisors(n0)}
@@ -388,6 +400,8 @@ def recount_cases(draw):
     vals = [table[math.gcd(m, n0)] + slope * m for m in range(1, length + 1)]
     for m in draw(st.lists(st.integers(1, length), max_size=40)):
         vals[m - 1] = draw(st.integers(-16, 16)) / 8
+    for m in draw(st.lists(st.integers(1, 8), max_size=2)):
+        vals[m - 1] = draw(st.sampled_from((1e17, -1e17, 3e16)))
     points = sorted(draw(st.sets(st.integers(1, length), min_size=5, max_size=30)))
     return vals, points
 
@@ -434,6 +448,52 @@ class TestBruteForceRecount:
             outcome, witness, evaluated_n)
         assert abs(mean.tail_mean - tails[0]) <= 1e-12
         assert ac_theta_block_means(x, scheme, n) == brute_mean_curve(vals, n, blocks)
+
+
+class TestBlockCheckRecount:
+    """The block checks and the coarse-from-fine aggregation, block by block,
+    against counts of m with |x_m - x_gcd(m, n)| >= eps. Some schemes get a
+    last block that ends past the sample, or only a block that does."""
+
+    @given(case=recount_cases(), n=st.integers(1, 8),
+           eps=st.sampled_from((0.05, 0.5, 1.0)), past=st.sampled_from(("", "last", "all")),
+           extra=st.sets(st.integers(1, 500), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_matches_recount(self, case, n, eps, past, extra):
+        vals, points = case
+        length = len(vals)
+        if past == "last":
+            points = points + [length + 1 + max(extra, default=0)]
+        elif past == "all":
+            points = [points[0], length + 1]
+        x, scheme = SeqSample(vals), make_scheme(points)
+        dev = brute_deviations(vals, n)
+        blocks = brute_intervals(length, "block", points)
+
+        def count(lo, hi):
+            return sum(1 for m in range(lo + 1, hi + 1) if dev[m - 1] >= eps)
+
+        markov = check_markov_step(x, scheme, n, eps)
+        lac1 = check_lac1_bound(x, scheme, n, eps)
+        assert len(markov) == len(lac1) == len(blocks) == scheme.blocks_within(length)
+        for r, ((lo, hi), markov_rep, lac1_rep) in enumerate(zip(blocks, markov, lac1), 1):
+            c, total, pref = count(lo, hi), math.fsum(dev[lo:hi]), count(0, hi)
+            ok = eps * c <= total
+            assert (markov_rep.name, markov_rep.instance["r"], markov_rep.passed,
+                    markov_rep.witness) == ("markov_step", r, ok, None if ok else
+                                            {"lhs": eps * c, "rhs": total})
+            ok = pref >= c
+            assert (lac1_rep.name, lac1_rep.instance["r"], lac1_rep.passed,
+                    lac1_rep.witness) == ("lac1_bound", r, ok, None if ok else {
+                        "prefix_density": pref / hi,
+                        "scaled_block_density": ((hi - lo) / hi) * (c / (hi - lo))})
+
+        fine = make_scheme(sorted(set(points) | {p for p in extra
+                                                 if points[0] < p < points[-1]}))
+        aggregated = coarse_block_density_from_fine(x, refinement_map(scheme, fine), n, eps)
+        assert len(aggregated) == len(blocks)
+        for agg, (lo, hi) in zip(aggregated, blocks):
+            assert abs(agg - count(lo, hi) / (hi - lo)) <= 1e-12
 
 
 class TestScalingMetamorphic:

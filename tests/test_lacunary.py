@@ -7,10 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from arithstat.density import coarse_block_density_from_fine
 from arithstat.kernel import SeqSample
 from arithstat.lacunary import (
     block_intersections,
-    coarse_block_density_from_fine,
     is_refinement,
     make_scheme,
     q_ratio_stats,
@@ -178,12 +178,20 @@ class TestAggregation:
         coarse = make_scheme([1, 4, 16, 64, 256, 1000])
         fine = make_scheme(sorted(set(coarse.points) | {1, 2, 9, 40, 100, 500, 1000}))
         relation = refinement_map(coarse, fine)
-        for r in range(1, coarse.block_count + 1):
+        aggregated = coarse_block_density_from_fine(x, relation, 6, 0.5)
+        assert len(aggregated) == coarse.blocks_within(1000) == coarse.block_count
+        for r, agg in enumerate(aggregated, 1):
             lo, hi = coarse.block(r)
-            agg = coarse_block_density_from_fine(x, relation, fine, 6, 0.5, r)
             assert agg == pytest.approx(density_oracle(x, lo, hi, 6, 0.5), abs=1e-12)
 
-    def test_out_of_range_block(self):
-        x = SeqSample(np.zeros(100))
-        with pytest.raises(ValueError, match="block index"):
-            coarse_block_density_from_fine(x, refinement_map(DYADIC, DYADIC), DYADIC, 1, 0.5, 9)
+    def test_sample_ending_inside_a_coarse_block_gives_the_fitting_blocks(self):
+        # the sample ends at 12, inside coarse block (8, 16] and past the
+        # fine block (8, 10] that starts it: only coarse blocks 1..3 fit
+        x = SeqSample(np.arange(12.0))
+        relation = refinement_map(DYADIC, make_scheme([1, 2, 3, 4, 6, 8, 10, 16]))
+        aggregated = coarse_block_density_from_fine(x, relation, 1, 0.5)
+        assert len(aggregated) == DYADIC.blocks_within(12) == 3
+        for r, agg in enumerate(aggregated, 1):
+            lo, hi = DYADIC.block(r)
+            assert agg == pytest.approx(density_oracle(x, lo, hi, 1, 0.5), abs=1e-12)
+        assert coarse_block_density_from_fine(SeqSample(np.zeros(1)), relation, 1, 0.5) == []

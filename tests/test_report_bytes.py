@@ -3,8 +3,10 @@
 The digests below were recorded from these same runs before the counting,
 search and suite code was consolidated (x86-64 Linux, Python 3.11, numpy
 2.4); those of `analyze-noise` were recorded before both verdict axes came to
-share one deviation pass per witness. Any change to a verdict, a density, a
-scheme generator or a suite draw shows up as a changed digest.
+share one deviation pass per witness, and those of `verify-100` before the
+block checks came to count every block of an instance from one pass. Any
+change to a verdict, a density, a scheme generator or a suite draw shows up
+as a changed digest.
 """
 from __future__ import annotations
 
@@ -43,6 +45,8 @@ RUNS = {
                 "--scheme", "dyadic.json"],
     "scheme": ["scheme", "--scheme", "geometric.json", "--scheme", "polynomial.json"],
     "verify": ["verify", "--instances", "20", "--seed", "7"],
+    # enough instances that the block suites check thousands of blocks
+    "verify-100": ["verify", "--instances", "100", "--seed", "1"],
     # no witness up to 16 on either axis, and the two axes end at different
     # evaluated_n (16 on the prefix axis, 5 on the block axis)
     "analyze-noise": ["analyze", "--input", "noise.csv", "--scheme", "ratio15.json",
@@ -59,6 +63,9 @@ EXPECTED = {
     "scheme/scheme_report.json": "1a0eacb1759ad15c9ce10d379af2082b797a5b0bee5c39a239a4964ae912737f",
     "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
     "verify/verify_report.json": "5a4bd89459549451ff068ff44887348d32f9e96f75495af707f7f063cb0bfad0",
+    "verify-100/stdout": "8eaa9a8c645b5f6a68454222aeaf84d1273ebae0dc0ccad53ef594637e7c71c4",
+    "verify-100/verify_report.json":
+        "851c1e53b75bd1fcbdfb60f2682ca6ae99d3d622113315cd0a6bb2b349f23a02",
     "analyze-noise/stdout": "dca6dbcc3b749ac4cae19ddcc3b916993900749ede16a992bf59f9adfbce793e",
     "analyze-noise/curves.csv": "b433d07852aaf9136805c742c63c0511766006ecfb2477b46850994d504508a4",
     "analyze-noise/report.json": "620cf388d13b188a5f79839d9d391b23f436d0c731df916991bc3ca3875efb4b",

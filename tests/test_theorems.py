@@ -156,15 +156,17 @@ class TestMarkovStep:
     def test_ramp_blocks(self):
         x = ramp_sample(16)
         s = make_scheme([1, 2, 4, 8, 16])
-        for r in range(1, 5):
-            for eps in (0.5, 2.0, 5.0):
-                assert check_markov_step(x, s, 1, eps, r).passed
+        for eps in (0.5, 2.0, 5.0):
+            reports = check_markov_step(x, s, 1, eps)
+            assert len(reports) == s.blocks_within(16) == 4
+            assert [rep.instance["r"] for rep in reports] == [1, 2, 3, 4]
+            assert all(rep.passed for rep in reports)
 
     def test_boundary_equality_counts_as_pass(self):
         # deviations in the block are exactly 1, eps = 1: lhs == rhs
         x = SeqSample([0.0, 1.0, 1.0, 1.0])
         s = make_scheme([1, 4])
-        rep = check_markov_step(x, s, 1, 1.0, 1)
+        [rep] = check_markov_step(x, s, 1, 1.0)
         assert rep.passed
 
 
@@ -172,13 +174,15 @@ class TestLac1Bound:
     def test_gcd_periodic_blocks(self):
         x = gcdper(12, 4096)
         for n in (1, 5, 12):
-            for r in range(1, DYADIC_13.blocks_within(4096) + 1):
-                assert check_lac1_bound(x, DYADIC_13, n, 0.5, r).passed
+            reports = check_lac1_bound(x, DYADIC_13, n, 0.5)
+            assert len(reports) == DYADIC_13.blocks_within(4096)
+            assert all(rep.passed for rep in reports)
 
     def test_spike_blocks(self):
         x = generate(SparseSpike(height=2.0), 4096)
-        for r in range(1, 13):
-            assert check_lac1_bound(x, DYADIC_13, 1, 1.0, r).passed
+        reports = check_lac1_bound(x, DYADIC_13, 1, 1.0)
+        assert len(reports) == DYADIC_13.blocks_within(4096) == 12
+        assert all(rep.passed for rep in reports)
 
 
 class TestDeltaTransfer:
