@@ -1,7 +1,7 @@
 """Finite-scale diagnostics for arithmetic and lacunary statistical convergence.
 
 The package turns limit notions built on the gcd kernel x_<m,n> into
-computable objects: exceedance sets and densities over prefixes and lacunary
+computable objects: exceedance counts and densities over prefixes and lacunary
 blocks, three-valued convergence verdicts, exact checks of the closure and
 transfer mechanisms, and continuity batteries for mapped sequences.
 """
@@ -36,26 +36,19 @@ from .density import (
     DEFAULT_GRID,
     ConvergenceVerdict,
     DensityCurve,
-    ExceedanceSet,
     MeanVerdict,
     Outcome,
     VerdictPolicy,
     ac_sup_deviation,
     ac_theta_at_scale,
-    ac_theta_block_mean,
     ac_theta_block_means,
     asc_theta_verdict,
     asc_verdict,
     asc_verdicts,
-    block_density,
-    block_exceedance,
     coarse_block_density_from_fine,
     density_curve,
-    exceedance_prefix,
-    ntheta_mean,
     ntheta_norm,
     prefix_checkpoints,
-    prefix_density,
 )
 from .theorems import (
     CheckReport,
@@ -98,13 +91,10 @@ __all__ = [
     "deviations", "divisors", "generate", "spike_support",
     "LacunaryScheme", "RelationPair", "SchemeRelation", "block_intersections",
     "is_refinement", "make_scheme", "q_ratio_stats", "refinement_map",
-    "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "ExceedanceSet",
-    "MeanVerdict", "Outcome", "VerdictPolicy", "ac_sup_deviation",
-    "ac_theta_at_scale", "ac_theta_block_mean", "ac_theta_block_means",
-    "asc_theta_verdict", "asc_verdict", "asc_verdicts", "block_density",
-    "block_exceedance", "coarse_block_density_from_fine", "density_curve",
-    "exceedance_prefix", "ntheta_mean", "ntheta_norm", "prefix_checkpoints",
-    "prefix_density",
+    "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "MeanVerdict", "Outcome",
+    "VerdictPolicy", "ac_sup_deviation", "ac_theta_at_scale", "ac_theta_block_means",
+    "asc_theta_verdict", "asc_verdict", "asc_verdicts", "coarse_block_density_from_fine",
+    "density_curve", "ntheta_norm", "prefix_checkpoints",
     "CheckReport", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_scalar_closure", "check_sum_closure", "ramp_sample",

@@ -25,6 +25,7 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
+    _flags,
     generate,
 )
 from .density import (
@@ -35,9 +36,9 @@ from .density import (
     asc_verdict,
     asc_verdicts,
     check_grid,
-    exceedance_prefix,
     ntheta_norm,
     Outcome,
+    _intervals,
 )
 from .lacunary import (
     LacunaryScheme,
@@ -84,8 +85,9 @@ MAX_SPEC_DEPTH = 100
 #: the segment count reduces), about 1 GiB at 2**25; that is 16 times the
 #: longest benchmark sample (2**21).
 MAX_LENGTH = 2**25
-#: Errors of malformed JSON values, such as a number too large for a float.
-_VALUE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+#: Errors of malformed JSON values, such as a number too large for a float or
+#: a list where an object belongs.
+_VALUE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
 class InputError(Exception):
@@ -249,7 +251,7 @@ def _read_text(path: Path) -> str:
 def _read_json(path: Path):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer past the int(str) digit limit
         raise InputError(f"{path} is not valid JSON: {e}") from None
     except RecursionError:
         raise InputError(f"{path} nests too deeply") from None
@@ -408,12 +410,10 @@ def _injected_scaling_report() -> CheckReport:
     # Deliberately wrong comparison (right side not rescaled by 1/|c|); used
     # by --inject-fault to prove the suite can fail.
     x = generate(GcdPeriodic(6, {1: 1.0, 2: 2.0, 3: 3.0, 6: 6.0}), 512)
-    left = exceedance_prefix(3.0 * x, 1, 2.0, x.length)
-    right = exceedance_prefix(x, 1, 2.0, x.length)
     return CheckReport(
         "scalar_closure",
         {"injected": True, "c": 3.0, "eps": 2.0, "note": "right side epsilon not rescaled"},
-        left.members == right.members,
+        np.array_equal(_flags(3.0 * x, 1, 2.0), _flags(x, 1, 2.0)),
     )
 
 
@@ -427,6 +427,16 @@ def cmd_verify(cfg: RunConfig) -> bool:
     policy = cfg.policy()
     grid = cfg.grid
     ok = True
+    try:
+        # refuse, before the suites run, a config the experiments below cannot use
+        scheme = make_scheme(2**j for j in range(length.bit_length()))
+        for axis in ("prefix", "block"):
+            _intervals(length, axis, scheme, policy.growth, policy.tail_window)
+        q_ratio_stats(scheme)
+        crossing = [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
+                                                   gap=min(grid) / 2))]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     suites = run_property_suite(
         cfg.seed, instances=cfg.instances,
@@ -443,7 +453,6 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
     try:
         family = standard_family(length)
-        scheme = make_scheme(2**j for j in range(length.bit_length()))
         experiments = {}
         for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
             exp = run_inclusion_experiment(hyp, family, scheme, grid, policy)
@@ -501,8 +510,6 @@ def cmd_verify(cfg: RunConfig) -> bool:
         ok &= _ok_line("control: square scheme refuses the lac1 experiment", refused)
 
         step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
-        crossing = [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
-                                                   gap=min(grid) / 2))]
         rep = continuity_battery(step, family + crossing, scheme, grid, policy)
         controls["step_battery"] = rep.to_dict()
         good = rep.contradiction_count >= 1
@@ -565,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sample length (required for generator specs)")
     _policy_flags(pa)
     pa.add_argument("--out", required=True, help="output directory")
-    pa.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("scheme", help="block table, ratio estimates, relations")
     ps.add_argument("--scheme", action="append", required=True,

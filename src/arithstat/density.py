@@ -1,15 +1,16 @@
-"""Exceedance sets, prefix and block densities, and finite-scale verdicts.
+"""Interval exceedance counts, prefix and block densities, and finite-scale verdicts.
 
 The objects here make limit statements about arithmetic statistical
-convergence computable on a finite truncation. An exceedance set collects the
-indices m whose deviation |x_m - x_<m,n>| meets or exceeds a threshold;
+convergence computable on a finite truncation. Every count runs over integer
+intervals (lo, hi]: prefixes (0, t] and blocks (k_{r-1}, k_r]. The flags mark
+the indices m whose deviation |x_m - x_<m,n>| meets or exceeds a threshold;
 densities are exact counts divided by exact range sizes; a verdict summarizes
 density curves over a grid of thresholds into one of three outcomes. Nothing
 in this module ever claims a limit: ConvergentAtScale means "converged as far
 as this truncation can see", and Inconclusive is an honest answer.
 
 Membership always compares the raw float deviation with >=, no tolerance.
-The theorem checks in `theorems` rely on these being exact index sets.
+The theorem checks in `theorems` rely on these flags being exact index sets.
 """
 
 from __future__ import annotations
@@ -23,28 +24,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernel import SeqSample, _check_eps, _flags, check_witness, deviations
-from .lacunary import LacunaryScheme, SchemeRelation
+from .lacunary import LacunaryScheme, RelationPair, SchemeRelation
 
 __all__ = [
     "DEFAULT_GRID",
     "check_grid",
-    "ExceedanceSet",
     "DensityCurve",
     "Outcome",
     "VerdictPolicy",
     "ConvergenceVerdict",
     "MeanVerdict",
-    "exceedance_prefix",
-    "prefix_density",
-    "block_exceedance",
-    "block_density",
     "coarse_block_density_from_fine",
     "prefix_checkpoints",
     "density_curve",
     "ac_sup_deviation",
-    "ac_theta_block_mean",
     "ac_theta_block_means",
-    "ntheta_mean",
     "ntheta_norm",
     "asc_verdict",
     "asc_theta_verdict",
@@ -71,36 +65,6 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class ExceedanceSet:
-    """Indices with deviation >= epsilon inside one prefix or one block.
-
-    Members lie in the integer interval (lo, hi]; for a prefix lo = 0 and
-    hi = t, for a block the bounds are the block's. `index` is t for the
-    prefix axis and the block number r for the block axis.
-    """
-
-    axis: str
-    index: int
-    lo: int
-    hi: int
-    epsilon: float
-    witness: int
-    members: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.members)
-
-    @property
-    def span(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def density(self) -> float:
-        return self.count / self.span
-
-
-@dataclass(frozen=True)
 class DensityCurve:
     """Ordered (index, density) points along one axis for one (n, epsilon)."""
 
@@ -121,45 +85,10 @@ class DensityCurve:
         return tuple(v for _, v in self.points)
 
 
-def _block_bounds(x: SeqSample, scheme: LacunaryScheme, r: int) -> tuple[int, int]:
-    """Bounds (lo, hi] of block r, which must end inside the sample."""
-    lo, hi = scheme.block(r)
-    if hi > x.length:
-        raise ValueError(f"block {r} ends at {hi}, beyond sample length {x.length}")
-    return lo, hi
-
-
-def _exceedance_set(x: SeqSample, n: int, eps: float, axis: str, index: int,
-                    lo: int, hi: int) -> ExceedanceSet:
-    """The indices lo < m <= hi whose deviation at witness n reaches eps."""
-    n = check_witness(n)
-    eps = _check_eps(eps)
-    flags = deviations(x, n)[lo:hi] >= eps
-    members = tuple(int(i) + lo + 1 for i in np.nonzero(flags)[0])
-    return ExceedanceSet(axis, index, lo, hi, eps, n, members)
-
-
-def exceedance_prefix(x: SeqSample, n: int, eps: float, t: int) -> ExceedanceSet:
-    """{m <= t : |x_m - x_<m,n>| >= eps} as an exact index set."""
-    if not 1 <= t <= x.length:
-        raise ValueError(f"prefix length {t} outside 1..{x.length}")
-    return _exceedance_set(x, n, eps, "prefix", t, 0, t)
-
-
-def prefix_density(x: SeqSample, n: int, eps: float, t: int) -> float:
-    """Share of m <= t whose deviation meets eps."""
-    return exceedance_prefix(x, n, eps, t).density
-
-
-def block_exceedance(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
-                     r: int) -> ExceedanceSet:
-    """{m in block r : |x_m - x_<m,n>| >= eps} as an exact index set."""
-    return _exceedance_set(x, n, eps, "block", r, *_block_bounds(x, scheme, r))
-
-
-def block_density(x: SeqSample, scheme: LacunaryScheme, n: int, eps: float, r: int) -> float:
-    """Exceedance count in block r divided by the block length h_r."""
-    return block_exceedance(x, scheme, n, eps, r).density
+def _pairs_within(relation: SchemeRelation, length: int) -> list[RelationPair]:
+    """The pairs of every coarse block that ends inside 1..length, in order."""
+    beyond = {p.coarse_index for p in relation.pairs if p.hi > length}
+    return [p for p in relation.pairs if p.coarse_index not in beyond]
 
 
 def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: int,
@@ -172,8 +101,7 @@ def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: in
     exceedance flag pass. Equal to the directly counted coarse block density
     up to float rounding (the suite pins the gap at 1e-12).
     """
-    beyond = {p.coarse_index for p in relation.pairs if p.hi > x.length}
-    pairs = [p for p in relation.pairs if p.coarse_index not in beyond]
+    pairs = _pairs_within(relation, x.length)
     counts = _interval_sums(_flags(x, n, eps), np.array([p.lo for p in pairs], dtype=np.int64),
                             np.array([p.hi for p in pairs], dtype=np.int64)).tolist()
     coarse_size = {p.coarse_index: p.coarse_size for p in pairs}
@@ -296,24 +224,13 @@ def ac_sup_deviation(x: SeqSample, n: int) -> float:
     return float(deviations(x, n).max())
 
 
-def ac_theta_block_mean(x: SeqSample, scheme: LacunaryScheme, n: int, r: int) -> float:
-    """(1/h_r) * sum over block r of |x_m - x_<m,n>|."""
-    lo, hi = _block_bounds(x, scheme, r)
-    return math.fsum(deviations(x, n)[lo:hi]) / (hi - lo)
-
-
 def ac_theta_block_means(x: SeqSample, scheme: LacunaryScheme, n: int) -> list[float]:
-    """`ac_theta_block_mean` of every block inside the sample, from one deviation pass."""
+    """(1/h_r) * sum over block r of |x_m - x_<m,n>|, for every block inside the sample.
+
+    All blocks come from one deviation pass, each summed with math.fsum.
+    """
     lo, hi = _intervals(x.length, "block", scheme)
     return (_interval_fsums(deviations(x, n), lo, hi) / (hi - lo)).tolist()
-
-
-def ntheta_mean(x: SeqSample, scheme: LacunaryScheme, level: float, r: int) -> float:
-    """(1/h_r) * sum over block r of |x_m - level|."""
-    if not math.isfinite(level):
-        raise ValueError("level must be finite")
-    lo, hi = _block_bounds(x, scheme, r)
-    return math.fsum(np.abs(x.values[lo:hi] - level)) / (hi - lo)
 
 
 def ntheta_norm(x: SeqSample, scheme: LacunaryScheme) -> float:
@@ -564,7 +481,7 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     Convergent when some witness drives the tail average of the per-block mean
     deviations to or below tol; the thresholds are read in deviation units.
     Each block mean is the math.fsum of its deviations over h_r, as in
-    `ac_theta_block_mean`, so no large early value cancels a later block.
+    `ac_theta_block_means`, so no large early value cancels a later block.
     """
     policy = policy or DEFAULT_POLICY
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)

@@ -132,9 +132,9 @@ def compounding_points(ratio: float, start: int) -> Iterator[int]:
 
 
 def polynomial_points(degree: int) -> Iterator[int]:
-    """k_j = (j + 1)**degree."""
-    if degree < 1:
-        raise ValueError("polynomial degree must be >= 1")
+    """k_j = (j + 1)**degree. Past degree 62, k_1 = 2**degree already exceeds MAX_POINT."""
+    if not 1 <= degree <= 62:
+        raise ValueError(f"polynomial degree must lie in 1..62, got {degree}")
     return (r**degree for r in count(1))
 
 

@@ -1,8 +1,8 @@
 """Exact finite checks of the closure, bound, and transfer mechanisms.
 
 Each check_* function verifies one mechanism on one concrete instance and
-returns a CheckReport, or one per block inside the sample for the block
-checks. The checks are exact: set identities compare the boolean exceedance
+returns a CheckReport: one per axis (prefix, then block) for the set checks,
+one per block inside the sample for the block checks. The checks are exact: set identities compare the boolean exceedance
 flags of each index interval by interval, with one deviation pass per
 (sample, n, eps), and inequalities between counted densities are compared
 with denominators cleared in integer or Fraction arithmetic, so no floating
@@ -52,6 +52,7 @@ from .density import (
     _interval_fsums,
     _interval_sums,
     _intervals,
+    _pairs_within,
 )
 from .lacunary import (
     LacunaryScheme,
@@ -114,62 +115,60 @@ class CheckReport:
         return asdict(self)
 
 
-def _scheme_preview(scheme: LacunaryScheme | None) -> list[int] | None:
-    if scheme is None:
-        return None
+def _scheme_preview(scheme: LacunaryScheme) -> list[int]:
     pts = scheme.points
     return list(pts) if len(pts) <= 12 else list(pts[:6]) + [-1] + list(pts[-5:])
 
 
-def _axis_hit(mask: np.ndarray, axis: str,
-              scheme: LacunaryScheme | None) -> tuple[int, list[int]] | None:
-    """(at, first 20 flagged m) of the first interval of a set check holding a flag.
+def _set_reports(name: str, instance: dict, mask: np.ndarray, scheme: LacunaryScheme,
+                 witness: Callable[[int, list[int]], dict]) -> list[CheckReport]:
+    """[prefix report, block report] of a set check broken by each flag mask[m - 1].
 
     The prefix axis is the one interval (0, T], reported at T; the block axis
-    is every block that fits the sample, each reported at its number r.
+    is every block that fits the sample, reported at the number r of the
+    first block holding a flag. A failed report's witness is witness(at,
+    first 20 flagged m of that interval).
     """
-    if axis == "prefix":
-        hit = _first_hit(mask, np.array([0]), np.array([mask.size]))
-        return None if hit is None else (mask.size, hit[1])
-    hit = _first_hit(mask, *_intervals(mask.size, axis, scheme))
-    return None if hit is None else (hit[0] + 1, hit[1])
+    reports = []
+    for axis, (lo, hi) in (("prefix", (np.array([0]), np.array([mask.size]))),
+                           ("block", _intervals(mask.size, "block", scheme))):
+        hit = _first_hit(mask, lo, hi)
+        reports.append(CheckReport(
+            name, {**instance, "axis": axis, "scheme": _scheme_preview(scheme)}, hit is None,
+            None if hit is None else witness(mask.size if axis == "prefix" else hit[0] + 1,
+                                             hit[1])))
+    return reports
 
 
 def check_scalar_closure(x: SeqSample, c: float, n: int, eps: float,
-                         axis: str = "prefix",
-                         scheme: LacunaryScheme | None = None) -> CheckReport:
+                         scheme: LacunaryScheme) -> list[CheckReport]:
     """Exceedance of c*x at eps must equal exceedance of x at eps/|c|, as sets.
 
     c = 0 is the trivial branch: the scaled sample is constant zero and every
-    exceedance set must be empty.
+    exceedance set must be empty. Returns [prefix report, block report].
     """
-    instance = {
-        "recipe": x.recipe, "length": x.length, "c": c, "n": n, "eps": eps,
-        "axis": axis, "scheme": _scheme_preview(scheme),
-    }
+    instance = {"recipe": x.recipe, "length": x.length, "c": c, "n": n, "eps": eps}
     if c == 0:
-        hit = _axis_hit(_flags(0.0 * x, n, eps), axis, scheme)
-        return CheckReport("scalar_closure", instance, hit is None,
-                           None if hit is None else {"nonempty_at": hit[0]})
-    hit = _axis_hit(_flags(c * x, n, eps) ^ _flags(x, n, eps / abs(c)), axis, scheme)
-    return CheckReport("scalar_closure", instance, hit is None, None if hit is None else
-                       {"at": hit[0], "symmetric_difference": hit[1]})
+        return _set_reports("scalar_closure", instance, _flags(0.0 * x, n, eps), scheme,
+                            lambda at, _: {"nonempty_at": at})
+    return _set_reports("scalar_closure", instance,
+                        _flags(c * x, n, eps) ^ _flags(x, n, eps / abs(c)), scheme,
+                        lambda at, m: {"at": at, "symmetric_difference": m})
 
 
 def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
-                      axis: str = "prefix",
-                      scheme: LacunaryScheme | None = None) -> CheckReport:
-    """Exceedance of x+y at eps must sit inside the union of the eps/2 sets."""
+                      scheme: LacunaryScheme) -> list[CheckReport]:
+    """Exceedance of x+y at eps must sit inside the union of the eps/2 sets.
+
+    Returns [prefix report, block report].
+    """
     if x.length != y.length:
         raise ValueError("samples must have equal length")
-    instance = {
-        "recipe_x": x.recipe, "recipe_y": y.recipe, "length": x.length,
-        "n": n, "eps": eps, "axis": axis, "scheme": _scheme_preview(scheme),
-    }
+    instance = {"recipe_x": x.recipe, "recipe_y": y.recipe, "length": x.length,
+                "n": n, "eps": eps}
     stray = _flags(x + y, n, eps) & ~(_flags(x, n, eps / 2) | _flags(y, n, eps / 2))
-    hit = _axis_hit(stray, axis, scheme)
-    return CheckReport("sum_closure", instance, hit is None, None if hit is None else
-                       {"at": hit[0], "outside_union": hit[1]})
+    return _set_reports("sum_closure", instance, stray, scheme,
+                        lambda at, m: {"at": at, "outside_union": m})
 
 
 def _block_reports(name: str, x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
@@ -200,7 +199,7 @@ def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int,
 
 def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int,
                      eps: float) -> list[CheckReport]:
-    """prefix_density at k_r >= (h_r / k_r) * block density of block r, for every block r.
+    """Prefix density at k_r >= (h_r / k_r) * block density of block r, for every block r.
 
     One report per block inside the sample, in order. Both sides reduce to
     exceedance counts over the common denominator k_r, so the integer counts
@@ -228,22 +227,20 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
     """
     rel = refinement_map(coarse, fine)
     delta = rel.delta_fraction()
-    avail = coarse.blocks_within(x.length)
-    if avail < 1:
-        raise ValueError("no coarse block fits inside the sample")
     instance = {
         "recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
         "coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine),
         "delta": float(delta),
     }
-    pairs = [p for p in rel.pairs if p.coarse_index <= avail]
-    flags = _flags(x, n, eps)
-    fine_counts = _interval_sums(flags, np.array([p.lo for p in pairs]),
-                                 np.array([p.hi for p in pairs]))
-    coarse_counts = _interval_sums(flags, *_intervals(x.length, "block", coarse))
+    coarse_lo, coarse_hi = _intervals(x.length, "block", coarse)
+    pairs = _pairs_within(rel, x.length)
+    counts = _interval_sums(_flags(x, n, eps),
+                            np.concatenate((coarse_lo, [p.lo for p in pairs])),
+                            np.concatenate((coarse_hi, [p.hi for p in pairs]))).tolist()
+    coarse_counts, fine_counts = counts[:coarse_lo.size], counts[coarse_lo.size:]
     for p, fine_count in zip(pairs, fine_counts):
-        lhs = Fraction(int(fine_count), p.size)
-        rhs = Fraction(int(coarse_counts[p.coarse_index - 1]), p.coarse_size) / delta
+        lhs = Fraction(fine_count, p.size)
+        rhs = Fraction(coarse_counts[p.coarse_index - 1], p.coarse_size) / delta
         if lhs > rhs:
             return CheckReport(
                 "delta_transfer", instance, False,
@@ -579,9 +576,6 @@ def _run_suite(name: str, seed: int, instances: int, max_length: int,
     return result, checks, (low, high)
 
 
-_AXES = ("prefix", "block")
-
-
 def _block_suite(name: str, check_fn: Callable[..., list[CheckReport]], seed: int,
                  instances: int, max_length: int) -> SuiteResult:
     """check_fn on every block of a random scheme, for each random instance."""
@@ -601,8 +595,7 @@ def scalar_closure_suite(seed: int, instances: int = 1000,
 
     return _run_suite(
         "scalar_closure", seed, instances, max_length, draw,
-        lambda x, scheme, c, n, eps: (check_scalar_closure(x, c, n, eps, axis, scheme)
-                                      for axis in _AXES))[0]
+        lambda x, scheme, c, n, eps: check_scalar_closure(x, c, n, eps, scheme))[0]
 
 
 def sum_closure_suite(seed: int, instances: int = 1000,
@@ -614,8 +607,7 @@ def sum_closure_suite(seed: int, instances: int = 1000,
 
     return _run_suite(
         "sum_closure", seed, instances, max_length, draw,
-        lambda x, y, scheme, n, eps: (check_sum_closure(x, y, n, eps, axis, scheme)
-                                      for axis in _AXES))[0]
+        lambda x, y, scheme, n, eps: check_sum_closure(x, y, n, eps, scheme))[0]
 
 
 def markov_step_suite(seed: int, instances: int = 1000,

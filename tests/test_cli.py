@@ -72,6 +72,13 @@ class TestAnalyze:
         assert "out" not in config
         assert config["command"] == "analyze"
         assert config["eps_grid"] == [1.0, 0.5, 0.1, 0.05, 0.01]
+        assert config["seed"] == 0  # analyze draws nothing; the key keeps the report shape
+
+    def test_analyze_has_no_seed_flag(self, tmp_path, const_spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", const_spec, "--length", "1024", "--seed", "1",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     def test_spike_csv_block_curve(self, tmp_path, scheme_file):
         x = generate(SparseSpike(height=1.0, power=2), 1024)
@@ -133,6 +140,8 @@ class TestAnalyze:
             scaled(200),  # parses, but nests past the generator spec limit
             '{"kind": "constant", "value": 1e400}',
             '{"kind": "constant", "value": 1' + "0" * 400 + "}",
+            # past Python's 4300-digit limit for int(str): json.loads raises ValueError
+            '{"kind": "constant", "value": 1' + "0" * 5000 + "}",
         ]
         spec = tmp_path / "broken.json"
         for text in texts:
@@ -251,6 +260,9 @@ class TestScheme:
             '{"factorial": {"count": 1e400}}',
             json.dumps({"polynomial": {"degree": 400, "count": 300}}),
             json.dumps({"polynomial": {"degree": 1, "count": MAX_BLOCKS + 1}}),
+            # refused before 2**(10**12) is computed
+            json.dumps({"polynomial": {"degree": 10**12, "count": 1}}),
+            '{"points": [1, 2' + "0" * 5000 + "]}",
         ]
         path = tmp_path / "s.json"
         for text in texts:
@@ -283,6 +295,22 @@ class TestVerify:
         failures = report["property_suites"]["scalar_closure"]["failures"]
         assert any(f["instance"].get("injected") for f in failures)
         assert "FAIL  property scalar_closure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ("--growth", "1.000000001"),  # over 100,000 checkpoint steps
+        ("--tail-window", "64"),  # more than the 33 checkpoints of 8193
+        ("--length", "100"),  # 6 dyadic blocks, fewer than the tail window
+        ("--length", "40", "--n-max", "64"),  # the crossing control holds 64 values
+        ("--length", "3", "--tail-window", "1", "--n-max", "1"),  # one block: no ratio tail
+    ])
+    def test_bad_family_config_is_refused_before_the_suites(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        rc = main(["verify", "--instances", "1", *flags, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         reports = []

@@ -1,4 +1,4 @@
-"""Exceedance sets, density curves, block means, and the three-valued verdicts."""
+"""Exceedance flags, density curves, block means, and the three-valued verdicts."""
 from __future__ import annotations
 
 import math
@@ -12,6 +12,7 @@ from arithstat.kernel import (
     GcdPeriodic,
     SeqSample,
     SparseSpike,
+    _flags,
     divisors,
     generate,
 )
@@ -22,21 +23,15 @@ from arithstat.density import (
     VerdictPolicy,
     ac_sup_deviation,
     ac_theta_at_scale,
-    ac_theta_block_mean,
     ac_theta_block_means,
     asc_theta_verdict,
     asc_verdict,
     asc_verdicts,
-    block_density,
-    block_exceedance,
     check_grid,
     coarse_block_density_from_fine,
     density_curve,
-    exceedance_prefix,
-    ntheta_mean,
     ntheta_norm,
     prefix_checkpoints,
-    prefix_density,
 )
 from arithstat.lacunary import make_scheme, refinement_map
 from arithstat.theorems import check_lac1_bound, check_markov_step, ramp_sample
@@ -57,22 +52,26 @@ def burst_sample(length: int = 4096) -> SeqSample:
     return SeqSample(vals, recipe="burst")
 
 
+def members(flags: np.ndarray, lo: int = 0, hi: int | None = None) -> list[int]:
+    """The flagged indices lo < m <= hi."""
+    return [lo + 1 + int(i) for i in np.flatnonzero(flags[lo:hi])]
+
+
 class TestExceedance:
     def test_spike_prefix_members(self):
-        exc = exceedance_prefix(SPIKES_16, 1, 1.0, 16)
-        assert exc.members == (2, 4, 8, 16)
-        assert exc.count == 4 and exc.span == 16
-        assert exc.density == 0.25
+        assert members(_flags(SPIKES_16, 1, 1.0)) == [2, 4, 8, 16]
+        assert density_curve(SPIKES_16, 1, 1.0, "prefix").points[-1] == (16, 0.25)
 
     def test_shorter_prefix(self):
-        exc = exceedance_prefix(SPIKES_16, 1, 1.0, 10)
-        assert exc.members == (2, 4, 8)
-        assert prefix_density(SPIKES_16, 1, 1.0, 10) == pytest.approx(0.3)
+        assert members(_flags(SPIKES_16, 1, 1.0), 0, 10) == [2, 4, 8]
+        assert dict(density_curve(SPIKES_16, 1, 1.0, "prefix").points)[10] == 0.3
 
     def test_membership_is_a_raw_float_comparison(self):
         x = SeqSample([0.0, 1.0])
-        assert exceedance_prefix(x, 1, 1.0, 2).members == (2,)
-        assert exceedance_prefix(x, 1, 1.0 + 1e-12, 2).members == ()
+        assert members(_flags(x, 1, 1.0)) == [2]
+        assert members(_flags(x, 1, 1.0 + 1e-12)) == []
+        assert density_curve(x, 1, 1.0, "prefix").points == ((1, 0.0), (2, 0.5))
+        assert density_curve(x, 1, 1.0 + 1e-12, "prefix").points == ((1, 0.0), (2, 0.0))
 
     def test_epsilon_monotone(self):
         rng = np.random.default_rng(2)
@@ -80,28 +79,29 @@ class TestExceedance:
         for n in (1, 6, 12):
             prev = None
             for eps in (0.05, 0.5, 1.0, 2.0):
-                cur = set(exceedance_prefix(x, n, eps, 200).members)
+                cur = _flags(x, n, eps)
                 if prev is not None:
-                    assert cur <= prev
+                    assert not (cur & ~prev).any()
                 prev = cur
 
     def test_block_members(self):
-        exc = block_exceedance(SPIKES_16, DYADIC_5, 1, 1.0, 3)
-        assert (exc.lo, exc.hi) == (4, 8)
-        assert exc.members == (8,)
-        assert exc.density == 0.25
+        # block 3 of the dyadic scheme is (4, 8]
+        assert members(_flags(SPIKES_16, 1, 1.0), *DYADIC_5.block(3)) == [8]
+        assert density_curve(SPIKES_16, 1, 1.0, "block", DYADIC_5).points[2] == (3, 0.25)
 
     def test_block_beyond_sample_raises(self):
-        with pytest.raises(ValueError, match="beyond sample length"):
-            block_exceedance(generate(SparseSpike(), 10), DYADIC_5, 1, 1.0, 4)
+        # block 4 is (8, 16]: a 10-value sample holds only blocks 1..3
+        x = generate(SparseSpike(), 10)
+        assert [r for r, _ in density_curve(x, 1, 1.0, "block", DYADIC_5).points] == [1, 2, 3]
+        with pytest.raises(ValueError, match="no block of the scheme fits"):
+            density_curve(SeqSample([1.0]), 1, 1.0, "block", DYADIC_5)
 
     def test_prefix_bounds_and_eps_validation(self):
-        with pytest.raises(ValueError, match="prefix length"):
-            exceedance_prefix(SPIKES_16, 1, 1.0, 17)
+        assert density_curve(SPIKES_16, 1, 1.0, "prefix").points[-1][0] == 16
         with pytest.raises(ValueError, match="epsilon"):
-            exceedance_prefix(SPIKES_16, 1, 0.0, 16)
+            density_curve(SPIKES_16, 1, 0.0, "prefix")
         with pytest.raises(ValueError, match="epsilon"):
-            exceedance_prefix(SPIKES_16, 1, math.inf, 16)
+            density_curve(SPIKES_16, 1, math.inf, "prefix")
 
 
 class TestCheckpoints:
@@ -159,12 +159,15 @@ class TestDensityCurve:
     def test_matches_pointwise_densities(self):
         rng = np.random.default_rng(4)
         x = SeqSample(rng.integers(-16, 17, size=300) / 8.0)
+        flags = _flags(x, 6, 0.5)
         curve = density_curve(x, 6, 0.5, "prefix")
         for t, val in curve.points:
-            assert val == prefix_density(x, 6, 0.5, t)
-        bcurve = density_curve(x, 6, 0.5, "block", make_scheme([1, 4, 32, 300]))
+            assert val == np.count_nonzero(flags[:t]) / t
+        scheme = make_scheme([1, 4, 32, 300])
+        bcurve = density_curve(x, 6, 0.5, "block", scheme)
         for r, val in bcurve.points:
-            assert val == block_density(x, make_scheme([1, 4, 32, 300]), 6, 0.5, r)
+            lo, hi = scheme.block(r)
+            assert val == np.count_nonzero(flags[lo:hi]) / (hi - lo)
 
 
 class TestMeansAndNorms:
@@ -175,18 +178,17 @@ class TestMeansAndNorms:
     def test_block_mean_matches_fsum_oracle(self):
         x = ramp_sample(16)
         # block (2, 4] of x_m = m at n = 1 has deviations 2 and 3
-        assert ac_theta_block_mean(x, DYADIC_5, 1, 2) == 2.5
+        assert ac_theta_block_means(x, DYADIC_5, 1)[1] == 2.5
         rng = np.random.default_rng(8)
         y = SeqSample(rng.integers(-16, 17, size=16) / 8.0)
         lo, hi = DYADIC_5.block(4)
         oracle = math.fsum(
             abs(y.value(m) - y.value(math.gcd(m, 6))) for m in range(lo + 1, hi + 1)
         ) / (hi - lo)
-        assert ac_theta_block_mean(y, DYADIC_5, 6, 4) == oracle
+        assert ac_theta_block_means(y, DYADIC_5, 6)[3] == oracle
 
-    def test_ntheta_mean_and_norm(self):
+    def test_ntheta_norm(self):
         alternating = SeqSample([1.0 if m % 2 else -1.0 for m in range(1, 17)])
-        assert ntheta_mean(alternating, DYADIC_5, 0.0, 4) == 1.0
         assert ntheta_norm(alternating, DYADIC_5) == 1.0
         assert ntheta_norm(ramp_sample(16), DYADIC_5) == pytest.approx(
             math.fsum(range(9, 17)) / 8
@@ -335,9 +337,9 @@ class TestMeanVerdict:
         v = ac_theta_at_scale(x, scheme, policy)
         assert v.outcome is Outcome.CONVERGENT
         assert v.witness == 2
-        tail = [ac_theta_block_mean(x, scheme, 2, r) for r in range(9, 17)]
+        tail = ac_theta_block_means(x, scheme, 2)[8:16]
         assert v.tail_mean == float(np.mean(tail))
-        assert ac_theta_block_mean(x, scheme, 1, 16) == 0.5
+        assert ac_theta_block_means(x, scheme, 1)[15] == 0.5
 
 
 # ---------------------------------------------------------------------------

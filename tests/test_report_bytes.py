@@ -3,8 +3,10 @@
 The digests below were recorded from these same runs before the counting,
 search and suite code was consolidated (x86-64 Linux, Python 3.11, numpy
 2.4); those of `analyze-noise` were recorded before both verdict axes came to
-share one deviation pass per witness, and those of `verify-100` before the
-block checks came to count every block of an instance from one pass. Any
+share one deviation pass per witness, those of `verify-100` before the
+block checks came to count every block of an instance from one pass, and
+those of `verify-fault` before the scaling and sum checks came to return
+both axes from one flag mask and the injected fault to compare flag masks. Any
 change to a verdict, a density, a scheme generator or a suite draw shows up
 as a changed digest.
 """
@@ -14,7 +16,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from arithstat.cli import EXIT_OK, main
+from arithstat.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 
 INPUTS = {
     "spec.json": {
@@ -51,7 +53,11 @@ RUNS = {
     # evaluated_n (16 on the prefix axis, 5 on the block axis)
     "analyze-noise": ["analyze", "--input", "noise.csv", "--scheme", "ratio15.json",
                       "--n-max", "16"],
+    # the failing path: one injected scalar-closure failure, exit 1
+    "verify-fault": ["verify", "--instances", "20", "--seed", "7", "--inject-fault", "scaling"],
 }
+#: exit code of each run that does not end in EXIT_OK
+EXIT = {"verify-fault": EXIT_VERIFY_FAILED}
 
 EXPECTED = {
     "analyze/stdout": "a82b6a7d81187a792ba329945867601eeda7164582bf3df15aa4a87c415375d3",
@@ -69,6 +75,9 @@ EXPECTED = {
     "analyze-noise/stdout": "dca6dbcc3b749ac4cae19ddcc3b916993900749ede16a992bf59f9adfbce793e",
     "analyze-noise/curves.csv": "b433d07852aaf9136805c742c63c0511766006ecfb2477b46850994d504508a4",
     "analyze-noise/report.json": "620cf388d13b188a5f79839d9d391b23f436d0c731df916991bc3ca3875efb4b",
+    "verify-fault/stdout": "02e613ed711535c8d1588fcfc176e11b86dfa65a7f81d00bf9e7d9962d9dc951",
+    "verify-fault/verify_report.json":
+        "d783be0c06ef36fd847927703f33cba6b6d3c5fc23f16e655e2e671d6b55fad4",
 }
 
 
@@ -83,7 +92,7 @@ def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
     Path("noise.csv").write_text(noise_lines(3000))
     digests = {}
     for out, argv in RUNS.items():
-        assert main([*argv, "--out", out]) == EXIT_OK
+        assert main([*argv, "--out", out]) == EXIT.get(out, EXIT_OK)
         digests[f"{out}/stdout"] = sha256(capsys.readouterr().out.encode())
         for path in sorted(Path(out).iterdir()):
             digests[f"{out}/{path.name}"] = sha256(path.read_bytes())

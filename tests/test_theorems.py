@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithstat.kernel import (
+    Constant,
     GcdPeriodic,
     SeqSample,
     SparseSpike,
@@ -33,6 +36,7 @@ from arithstat.theorems import (
 )
 
 DYADIC_13 = make_scheme([2**j for j in range(14)])
+AXES = ("prefix", "block")
 
 
 def gcdper(n0: int, length: int) -> SeqSample:
@@ -43,26 +47,31 @@ class TestScalarClosure:
     def test_deterministic_pass_both_axes(self):
         x = gcdper(6, 1000)
         scheme = make_scheme([1, 10, 100, 1000])
-        for axis in ("prefix", "block"):
-            rep = check_scalar_closure(x, 3.0, 2, 1.5, axis, scheme)
+        reports = check_scalar_closure(x, 3.0, 2, 1.5, scheme)
+        assert [rep.instance["axis"] for rep in reports] == list(AXES)
+        for rep in reports:
             assert rep.passed, rep.witness
             assert rep.name == "scalar_closure"
 
     def test_negative_and_fractional_scales(self):
         x = SeqSample(np.random.default_rng(1).integers(-16, 17, 500) / 8.0)
         for c in (-10.0, -0.5, 0.5, 10.0):
-            assert check_scalar_closure(x, c, 7, 0.25).passed
+            assert all(rep.passed for rep in check_scalar_closure(x, c, 7, 0.25, DYADIC_13))
 
     def test_zero_scale_empties_every_set(self):
-        rep = check_scalar_closure(ramp_sample(100), 0.0, 3, 0.5)
-        assert rep.passed
+        reports = check_scalar_closure(ramp_sample(100), 0.0, 3, 0.5, DYADIC_13)
+        assert all(rep.passed for rep in reports)
 
     def test_report_shape(self):
-        rep = check_scalar_closure(gcdper(4, 64), 2.0, 4, 1.0)
-        d = rep.to_dict()
-        assert d["passed"] is True
-        assert d["instance"]["c"] == 2.0
-        assert d["witness"] is None
+        reports = check_scalar_closure(gcdper(4, 64), 2.0, 4, 1.0, DYADIC_13)
+        assert [rep.instance["axis"] for rep in reports] == list(AXES)
+        for rep in reports:
+            d = rep.to_dict()
+            assert d["passed"] is True
+            assert list(d["instance"]) == ["recipe", "length", "c", "n", "eps", "axis",
+                                           "scheme"]
+            assert d["instance"]["c"] == 2.0
+            assert d["witness"] is None
 
 
 class TestSumClosure:
@@ -70,12 +79,13 @@ class TestSumClosure:
         x = gcdper(6, 1000)
         y = generate(SparseSpike(height=-4.0, power=3), 1000)
         scheme = make_scheme([1, 10, 100, 1000])
-        for axis in ("prefix", "block"):
-            assert check_sum_closure(x, y, 5, 1.0, axis, scheme).passed
+        reports = check_sum_closure(x, y, 5, 1.0, scheme)
+        assert [rep.instance["axis"] for rep in reports] == list(AXES)
+        assert all(rep.passed for rep in reports)
 
     def test_requires_equal_lengths(self):
         with pytest.raises(ValueError, match="equal length"):
-            check_sum_closure(ramp_sample(10), ramp_sample(11), 1, 1.0)
+            check_sum_closure(ramp_sample(10), ramp_sample(11), 1, 1.0, DYADIC_13)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +131,9 @@ class TestFailureWitnesses:
             vals = [k / 10 for k in np.random.default_rng(seed).integers(-20, 21, 40).tolist()]
             scaled = [c * v for v in vals]
             for n in (1, 2, 6):
-                rep = check_scalar_closure(SeqSample(vals), c, n, eps, axis, WITNESS_SCHEME)
+                rep = check_scalar_closure(SeqSample(vals), c, n, eps,
+                                           WITNESS_SCHEME)[AXES.index(axis)]
+                assert rep.instance["axis"] == axis
                 expected = set_witness(
                     axis, 40, "symmetric_difference",
                     lambda lo, hi: (exceed(scaled, n, eps, lo, hi)
@@ -140,7 +152,9 @@ class TestFailureWitnesses:
         eps = 0.4
         failing = []
         for n in range(1, 9):
-            rep = check_sum_closure(SeqSample(xs), SeqSample(ys), n, eps, axis, WITNESS_SCHEME)
+            rep = check_sum_closure(SeqSample(xs), SeqSample(ys), n, eps,
+                                    WITNESS_SCHEME)[AXES.index(axis)]
+            assert rep.instance["axis"] == axis
             expected = set_witness(
                 axis, 40, "outside_union",
                 lambda lo, hi: exceed(total, n, eps, lo, hi) - (
@@ -209,8 +223,46 @@ class TestDeltaTransfer:
 
     def test_needs_one_coarse_block(self):
         x = SeqSample(np.zeros(3))
-        with pytest.raises(ValueError, match="no coarse block"):
+        with pytest.raises(ValueError, match="no block of the scheme fits"):
             check_delta_transfer(x, make_scheme([5, 9]), make_scheme([5, 7, 9]), 1, 0.5)
+
+
+@st.composite
+def explicit_schemes(draw):
+    """Points k_0 <= 8 and then k_r = max(k_{r-1} + 1, floor(k_{r-1} * q_r)) for 2 to 9
+    drawn ratios, near 1, moderate or past 64, so both gates are met and missed."""
+    points = [draw(st.integers(1, 8))]
+    for q in draw(st.lists(st.floats(1.0, 1.2) | st.floats(1.2, 60.0) | st.floats(60.0, 80.0),
+                           min_size=2, max_size=9)):
+        points.append(max(points[-1] + 1, int(points[-1] * q)))
+    return make_scheme(points)
+
+
+class TestRefusalGates:
+    """The lac1 and lac2 gates are Fridy & Orhan's ratio conditions, liminf q_r > 1
+    and limsup q_r < infinity, read on the trailing half of the ratios
+    q_r = k_r / k_{r-1} (at least one)."""
+
+    FAMILY = [("const", generate(Constant(1.0), 4096))]
+    POLICY = VerdictPolicy(tail_window=1, n_max=2)
+
+    @given(scheme=explicit_schemes())
+    @settings(max_examples=60, deadline=None)
+    def test_refused_exactly_when_a_ratio_condition_fails(self, scheme):
+        pts = scheme.points
+        q = [b / a for a, b in zip(pts, pts[1:])]
+        tail = q[-max(1, len(q) // 2):]
+        low, high = min(tail) < MIN_LIMINF, max(tail) > MAX_LIMSUP
+        expected = {"lac1": low, "lac2": high, "corollary": low or high, "ac_subset": False}
+        for hypothesis, refused in expected.items():
+            try:
+                exp = run_inclusion_experiment(hypothesis, self.FAMILY, scheme,
+                                               policy=self.POLICY)
+            except HypothesisNotMet:
+                assert refused, (hypothesis, pts)
+            else:
+                assert not refused, (hypothesis, pts)
+                assert exp.summary["total"] == 1
 
 
 class TestStandardFamily:
