@@ -34,6 +34,7 @@ from .lacunary import (
 )
 from .density import (
     DEFAULT_GRID,
+    DEFAULT_POLICY,
     ConvergenceVerdict,
     DensityCurve,
     MeanVerdict,
@@ -91,8 +92,8 @@ __all__ = [
     "deviations", "divisors", "generate", "spike_support",
     "LacunaryScheme", "RelationPair", "SchemeRelation", "block_intersections",
     "is_refinement", "make_scheme", "q_ratio_stats", "refinement_map",
-    "DEFAULT_GRID", "ConvergenceVerdict", "DensityCurve", "MeanVerdict", "Outcome",
-    "VerdictPolicy", "ac_sup_deviation", "ac_theta_at_scale", "ac_theta_block_means",
+    "DEFAULT_GRID", "DEFAULT_POLICY", "ConvergenceVerdict", "DensityCurve", "MeanVerdict",
+    "Outcome", "VerdictPolicy", "ac_sup_deviation", "ac_theta_at_scale", "ac_theta_block_means",
     "asc_theta_verdict", "asc_verdict", "asc_verdicts", "coarse_block_density_from_fine",
     "density_curve", "ntheta_norm", "prefix_checkpoints",
     "CheckReport", "HypothesisNotMet", "InclusionExperiment",

@@ -30,6 +30,7 @@ from .kernel import (
 )
 from .density import (
     DEFAULT_GRID,
+    DEFAULT_POLICY,
     VerdictPolicy,
     ac_sup_deviation,
     ac_theta_block_means,
@@ -127,7 +128,7 @@ class RunConfig:
         try:
             return VerdictPolicy(
                 tail_window=self.tail_window, tol=self.tol, tol_hi=self.tol_hi,
-                n_max=self.n_max, growth=self.growth,
+                n_max=self.n_max, growth=self.growth, grid=self.grid,
             )
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -153,11 +154,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         schemes=tuple(getattr(args, "scheme", None) or ()),
         length=length,
         grid=grid,
-        n_max=getattr(args, "n_max", 64),
-        tail_window=getattr(args, "tail_window", 8),
-        tol=getattr(args, "tol", 0.02),
-        tol_hi=getattr(args, "tol_hi", 0.2),
-        growth=getattr(args, "growth", 1.3),
+        n_max=getattr(args, "n_max", DEFAULT_POLICY.n_max),
+        tail_window=getattr(args, "tail_window", DEFAULT_POLICY.tail_window),
+        tol=getattr(args, "tol", DEFAULT_POLICY.tol),
+        tol_hi=getattr(args, "tol_hi", DEFAULT_POLICY.tol_hi),
+        growth=getattr(args, "growth", DEFAULT_POLICY.growth),
         out=args.out,
         seed=getattr(args, "seed", 0),
         instances=getattr(args, "instances", 300),
@@ -320,9 +321,9 @@ def cmd_analyze(cfg: RunConfig) -> None:
     policy = cfg.policy()
     try:
         if scheme is None:
-            asc, theta = asc_verdict(x, cfg.grid, policy), None
+            asc, theta = asc_verdict(x, policy), None
         else:
-            asc, theta = asc_verdicts(x, scheme, cfg.grid, policy)
+            asc, theta = asc_verdicts(x, scheme, policy)
         curves = list(asc.curves())
         block_means = norm = None
         if theta is not None:
@@ -423,9 +424,8 @@ def _ok_line(label: str, ok: bool) -> bool:
 
 
 def cmd_verify(cfg: RunConfig) -> bool:
-    length = cfg.length or 8193
+    length = cfg.length
     policy = cfg.policy()
-    grid = cfg.grid
     ok = True
     try:
         # refuse, before the suites run, a config the experiments below cannot use
@@ -434,7 +434,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
             _intervals(length, axis, scheme, policy.growth, policy.tail_window)
         q_ratio_stats(scheme)
         crossing = [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
-                                                   gap=min(grid) / 2))]
+                                                   gap=min(policy.grid) / 2))]
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -455,7 +455,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
         family = standard_family(length)
         experiments = {}
         for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
-            exp = run_inclusion_experiment(hyp, family, scheme, grid, policy)
+            exp = run_inclusion_experiment(hyp, family, scheme, policy)
             experiments[hyp] = exp.to_dict()
             good = exp.summary["contradictions"] == 0
             ok &= _ok_line(
@@ -466,11 +466,11 @@ def cmd_verify(cfg: RunConfig) -> bool:
         continuity_report = {}
         aff, clamp = Affine(2.0, -1.0), Clamp(-1.0, 5.0)
         for label, fn in (("affine", aff), ("clamp", clamp)):
-            rep = continuity_battery(fn, family, scheme, grid, policy)
+            rep = continuity_battery(fn, family, scheme, policy)
             continuity_report[f"battery_{label}"] = rep.to_dict()
             good = rep.contradiction_count == 0 and rep.support_count > 0
             ok &= _ok_line(f"continuity battery {label}", good)
-        closure = closure_checks(aff, clamp, family, scheme, grid, policy)
+        closure = closure_checks(aff, clamp, family, scheme, policy)
         continuity_report["closure"] = closure.to_dict()
         ok &= _ok_line("continuity closure (sum, difference, composition)", closure.passed)
 
@@ -495,14 +495,14 @@ def cmd_verify(cfg: RunConfig) -> bool:
             ok &= _ok_line(f"uniform limit cover ({label})", rep.passed)
 
         controls = {}
-        ramp = asc_verdict(ramp_sample(length), grid, policy)
+        ramp = asc_verdict(ramp_sample(length), policy)
         controls["ramp_not_convergent"] = ramp.to_dict()
         good = ramp.outcome is Outcome.NOT_CONVERGENT
         ok &= _ok_line("control: ramp is NotConvergentAtScale", good)
 
         square_scheme = make_scheme(r * r for r in range(1, 62))
         try:
-            run_inclusion_experiment("lac1", family, square_scheme, grid, policy)
+            run_inclusion_experiment("lac1", family, square_scheme, policy)
             refused, note = False, "experiment unexpectedly ran"
         except HypothesisNotMet as e:
             refused, note = True, str(e)
@@ -510,7 +510,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
         ok &= _ok_line("control: square scheme refuses the lac1 experiment", refused)
 
         step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
-        rep = continuity_battery(step, family + crossing, scheme, grid, policy)
+        rep = continuity_battery(step, family + crossing, scheme, policy)
         controls["step_battery"] = rep.to_dict()
         good = rep.contradiction_count >= 1
         ok &= _ok_line("control: step function produces a contradiction", good)
@@ -542,17 +542,19 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
 def _policy_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-grid", dest="eps_grid", metavar="E1,E2,...",
-                   help="strictly decreasing thresholds (default 1,0.5,0.1,0.05,0.01)")
-    p.add_argument("--n-max", dest="n_max", type=int, default=64,
-                   help="largest witness modulus searched (default 64)")
-    p.add_argument("--tail-window", dest="tail_window", type=int, default=8,
-                   help="trailing curve points averaged into the tail (default 8)")
-    p.add_argument("--tol", type=float, default=0.02,
-                   help="tail level accepted as converged (default 0.02)")
-    p.add_argument("--tol-hi", dest="tol_hi", type=float, default=0.2,
-                   help="tail level counted as hard evidence against (default 0.2)")
-    p.add_argument("--growth", type=float, default=1.3,
-                   help="prefix checkpoint spacing factor (default 1.3)")
+                   default=",".join(f"{e:g}" for e in DEFAULT_GRID),
+                   help="strictly decreasing thresholds (default %(default)s)")
+    p.add_argument("--n-max", dest="n_max", type=int, default=DEFAULT_POLICY.n_max,
+                   help="largest witness modulus searched (default %(default)s)")
+    p.add_argument("--tail-window", dest="tail_window", type=int,
+                   default=DEFAULT_POLICY.tail_window,
+                   help="trailing curve points averaged into the tail (default %(default)s)")
+    p.add_argument("--tol", type=float, default=DEFAULT_POLICY.tol,
+                   help="tail level accepted as converged (default %(default)s)")
+    p.add_argument("--tol-hi", dest="tol_hi", type=float, default=DEFAULT_POLICY.tol_hi,
+                   help="tail level counted as hard evidence against (default %(default)s)")
+    p.add_argument("--growth", type=float, default=DEFAULT_POLICY.growth,
+                   help="prefix checkpoint spacing factor (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

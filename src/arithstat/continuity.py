@@ -18,14 +18,13 @@ import numpy as np
 
 from .kernel import SeqSample, check_witness, gcd_anchors
 from .density import (
-    DEFAULT_GRID,
+    DEFAULT_POLICY,
     Outcome,
     VerdictPolicy,
     _check_eps,
     _first_hit,
     _intervals,
     asc_theta_verdict,
-    check_grid,
 )
 from .lacunary import LacunaryScheme
 from .theorems import CheckReport, HypothesisNotMet
@@ -237,20 +236,17 @@ class ContinuityReport:
 
 def continuity_battery(f: RealFunction, family: Sequence[tuple[str, SeqSample]],
                        scheme: LacunaryScheme,
-                       grid: Sequence[float] = DEFAULT_GRID,
-                       policy: VerdictPolicy | None = None) -> ContinuityReport:
+                       policy: VerdictPolicy = DEFAULT_POLICY) -> ContinuityReport:
     """Blockwise verdicts before and after mapping each family member through f."""
     if not family:
         raise ValueError("family must not be empty")
-    grid = check_grid(grid)
-    policy = policy or VerdictPolicy()
     entries = []
     for name, x in family:
-        vin = asc_theta_verdict(x, scheme, grid, policy)
+        vin = asc_theta_verdict(x, scheme, policy)
         if vin.outcome is not Outcome.CONVERGENT:
             entries.append(BatteryEntry(name, vin.outcome, vin.witness, None, "skipped"))
             continue
-        vout = asc_theta_verdict(map_sequence(f, x), scheme, grid, policy)
+        vout = asc_theta_verdict(map_sequence(f, x), scheme, policy)
         if vout.outcome is Outcome.NOT_CONVERGENT:
             status = "contradiction"
         elif vout.outcome is Outcome.INCONCLUSIVE:
@@ -266,15 +262,14 @@ def continuity_battery(f: RealFunction, family: Sequence[tuple[str, SeqSample]],
 def closure_checks(f: RealFunction, g: RealFunction,
                    family: Sequence[tuple[str, SeqSample]],
                    scheme: LacunaryScheme,
-                   grid: Sequence[float] = DEFAULT_GRID,
-                   policy: VerdictPolicy | None = None) -> CheckReport:
+                   policy: VerdictPolicy = DEFAULT_POLICY) -> CheckReport:
     """Sum, difference, and composition must preserve what f and g preserve.
 
     Vacuously passes when f or g already contradicts the battery on its own
     (the closure statement assumes both behave).
     """
-    rf = continuity_battery(f, family, scheme, grid, policy)
-    rg = continuity_battery(g, family, scheme, grid, policy)
+    rf = continuity_battery(f, family, scheme, policy)
+    rg = continuity_battery(g, family, scheme, policy)
     instance = {"f": describe_fn(f), "g": describe_fn(g), "family_size": len(family)}
     if rf.contradiction_count or rg.contradiction_count:
         return CheckReport(
@@ -284,9 +279,9 @@ def closure_checks(f: RealFunction, g: RealFunction,
              "g_contradictions": rg.contradiction_count},
         )
     derived = {
-        "sum": continuity_battery(FnSum(f, g), family, scheme, grid, policy),
-        "difference": continuity_battery(FnDifference(f, g), family, scheme, grid, policy),
-        "composition": continuity_battery(Composition(f, g), family, scheme, grid, policy),
+        "sum": continuity_battery(FnSum(f, g), family, scheme, policy),
+        "difference": continuity_battery(FnDifference(f, g), family, scheme, policy),
+        "composition": continuity_battery(Composition(f, g), family, scheme, policy),
     }
     bad = {k: r.contradiction_count for k, r in derived.items() if r.contradiction_count}
     return CheckReport("closure_checks", instance, not bad, {"contradictions": bad} if bad else None)

@@ -32,6 +32,7 @@ __all__ = [
     "DensityCurve",
     "Outcome",
     "VerdictPolicy",
+    "DEFAULT_POLICY",
     "ConvergenceVerdict",
     "MeanVerdict",
     "coarse_block_density_from_fine",
@@ -166,12 +167,15 @@ def _interval_sums(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     np.add.reduceat counts each segment once. An interval's count is the
     running segment count at hi minus the one at lo. The flags are cut at the
     largest bound first, because reduceat's last segment runs to the end of
-    the array. Exact for integers only; float values are summed per interval
-    with math.fsum instead.
+    the array. reduceat first copies the flags into the count type, so counts
+    are int32 wherever that is exact: half the copy of int64, which some heap
+    layouts fault in afresh on every call. Exact for integers only; float
+    values are summed per interval with math.fsum instead.
     """
     cuts, at = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
     run = np.zeros(cuts.size, dtype=np.int64)
-    np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=np.int64), out=run[1:])
+    count = np.int32 if cuts[-1] < 2**31 else np.int64
+    np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=count), out=run[1:])
     return run[at[1 + lo.size:]] - run[at[1:1 + lo.size]]
 
 
@@ -252,7 +256,7 @@ class Outcome(str, Enum):
 
 @dataclass(frozen=True)
 class VerdictPolicy:
-    """Knobs of the finite-scale decision rule.
+    """The finite-scale decision rule: every knob a verdict depends on.
 
     tail_window: how many trailing curve points form the tail average.
     tol: tail level at or below which a witness counts as converged.
@@ -260,6 +264,9 @@ class VerdictPolicy:
         against convergence (together with a non-decreasing tail).
     n_max: witness moduli 1..n_max are searched.
     growth: checkpoint spacing for prefix curves.
+    grid: the thresholds epsilon that stand in for "every epsilon > 0" in
+        the density verdicts, normalised by `check_grid` to a strictly
+        decreasing tuple of floats. The block-mean verdict reads no grid.
     """
 
     tail_window: int = 8
@@ -267,6 +274,7 @@ class VerdictPolicy:
     tol_hi: float = 0.2
     n_max: int = 64
     growth: float = 1.3
+    grid: tuple[float, ...] = DEFAULT_GRID
 
     def __post_init__(self) -> None:
         if self.tail_window < 1:
@@ -277,9 +285,10 @@ class VerdictPolicy:
             raise ValueError("n_max must be >= 1")
         if not self.growth > 1:
             raise ValueError("growth must exceed 1")
+        object.__setattr__(self, "grid", check_grid(self.grid))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "grid": list(self.grid)}
 
 
 DEFAULT_POLICY = VerdictPolicy()
@@ -290,12 +299,12 @@ class ConvergenceVerdict:
     """Three-valued decision plus the evidence it rests on.
 
     `witness` is present exactly when the outcome is ConvergentAtScale and is
-    then the smallest passing modulus. `tail_densities` pairs each grid
-    epsilon with the tail average of its density curve at `evaluated_n` (the
-    witness when convergent, otherwise the best candidate seen). The curves
-    behind those tails are kept as evidence outside `to_dict`: their index
-    (t or r) and one row of densities per grid epsilon; `curves()` returns
-    them as DensityCurve objects.
+    then the smallest passing modulus. `tail_densities` pairs each epsilon of
+    `policy.grid` with the tail average of its density curve at `evaluated_n`
+    (the witness when convergent, otherwise the best candidate seen). The
+    curves behind those tails are kept as evidence outside `to_dict`: their
+    index (t or r) and one row of densities per grid epsilon; `curves()`
+    returns them as DensityCurve objects.
     """
 
     outcome: Outcome
@@ -303,7 +312,6 @@ class ConvergenceVerdict:
     evaluated_n: int
     axis: str
     tail_densities: tuple[tuple[float, float], ...]
-    grid: tuple[float, ...]
     policy: VerdictPolicy
     curve_index: np.ndarray | None = field(default=None, compare=False, repr=False)
     curve_densities: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -317,7 +325,7 @@ class ConvergenceVerdict:
         if self.curve_densities is None:
             return ()
         return tuple(_curve(self.axis, e, self.evaluated_n, self.curve_index, row)
-                     for e, row in zip(self.grid, self.curve_densities))
+                     for e, row in zip(self.policy.grid, self.curve_densities))
 
     def tail_of(self, eps: float) -> float:
         for e, t in self.tail_densities:
@@ -326,15 +334,13 @@ class ConvergenceVerdict:
         raise KeyError(f"epsilon {eps} not in the verdict grid")
 
     def to_dict(self) -> dict:
-        d = self.policy.to_dict()
-        d["grid"] = list(self.grid)
         return {
             "outcome": self.outcome.value,
             "witness": self.witness,
             "evaluated_n": self.evaluated_n,
             "axis": self.axis,
             "tail_densities": [[e, t] for e, t in self.tail_densities],
-            "policy": d,
+            "policy": self.policy.to_dict(),
         }
 
 
@@ -345,7 +351,8 @@ class MeanVerdict:
     The curve is the per-block mean deviation rather than a density, so the
     tail is in deviation units; the same tol / tol_hi thresholds apply. A
     failed search is Inconclusive, never NotConvergentAtScale, unless every
-    candidate's tail is hard (at or above tol_hi and non-decreasing).
+    candidate's tail is hard (at or above tol_hi and non-decreasing). The
+    policy's threshold grid plays no part, so `to_dict` leaves it out.
     """
 
     outcome: Outcome
@@ -364,7 +371,7 @@ class MeanVerdict:
             "witness": self.witness,
             "evaluated_n": self.evaluated_n,
             "tail_mean": self.tail_mean,
-            "policy": self.policy.to_dict(),
+            "policy": {k: v for k, v in asdict(self.policy).items() if k != "grid"},
         }
 
 
@@ -401,8 +408,7 @@ def _search(make_curves: Callable[[int], list[np.ndarray]],
 
 
 def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
-                      grid: Sequence[float],
-                      policy: VerdictPolicy | None) -> list[ConvergenceVerdict]:
+                      policy: VerdictPolicy) -> list[ConvergenceVerdict]:
     """Witness searches over the per-epsilon density curves of each axis in `axes`.
 
     A witness n costs one deviation pass, and each epsilon one flag array
@@ -410,8 +416,6 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     by n, so an axis that searches further reuses the passes made for the
     others; each axis still stops at its own smallest passing n.
     """
-    grid = check_grid(grid)
-    policy = policy or DEFAULT_POLICY
     bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
               for axis in axes]
     lo = np.concatenate([b[0] for b in bounds])
@@ -422,7 +426,7 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     def densities(n: int) -> list[np.ndarray]:
         if n not in kept:
             dev = deviations(x, n)
-            kept[n] = [_interval_sums(dev >= e, lo, hi) / span for e in grid]
+            kept[n] = [_interval_sums(dev >= e, lo, hi) / span for e in policy.grid]
         return kept[n]
 
     verdicts, start = [], 0
@@ -432,37 +436,33 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
         outcome, witness, n, tails = _search(
             lambda k, part=part: [d[part] for d in densities(k)], policy)
         verdicts.append(ConvergenceVerdict(
-            outcome, witness, n, axis, tuple(zip(grid, tails)), grid, policy,
+            outcome, witness, n, axis, tuple(zip(policy.grid, tails)), policy,
             _curve_index(axis, axis_hi), np.array([d[part] for d in densities(n)])))
     return verdicts
 
 
-def asc_verdict(x: SeqSample, grid: Sequence[float] = DEFAULT_GRID,
-                policy: VerdictPolicy | None = None) -> ConvergenceVerdict:
+def asc_verdict(x: SeqSample, policy: VerdictPolicy = DEFAULT_POLICY) -> ConvergenceVerdict:
     """Finite-scale verdict for arithmetic statistical convergence.
 
-    For each candidate witness the per-epsilon prefix density curves are
-    summarized by the mean of their last `tail_window` checkpoints; see
-    `_search` for the decision rule. Raises when the sample is too short to
-    supply a full tail window of checkpoints.
+    For each candidate witness the prefix density curve of each epsilon in
+    `policy.grid` is summarized by the mean of its last `tail_window`
+    checkpoints; see `_search` for the decision rule. Raises when the sample
+    is too short to supply a full tail window of checkpoints.
     """
-    return _density_verdicts(x, None, ("prefix",), grid, policy)[0]
+    return _density_verdicts(x, None, ("prefix",), policy)[0]
 
 
 def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
-                      grid: Sequence[float] = DEFAULT_GRID,
-                      policy: VerdictPolicy | None = None) -> ConvergenceVerdict:
+                      policy: VerdictPolicy = DEFAULT_POLICY) -> ConvergenceVerdict:
     """Finite-scale verdict for lacunary (blockwise) arithmetic statistical convergence.
 
     Same decision rule as `asc_verdict`, with block density curves in place of
     prefix curves. Requires at least `tail_window` blocks inside the sample.
     """
-    return _density_verdicts(x, scheme, ("block",), grid, policy)[0]
+    return _density_verdicts(x, scheme, ("block",), policy)[0]
 
 
-def asc_verdicts(x: SeqSample, scheme: LacunaryScheme,
-                 grid: Sequence[float] = DEFAULT_GRID,
-                 policy: VerdictPolicy | None = None
+def asc_verdicts(x: SeqSample, scheme: LacunaryScheme, policy: VerdictPolicy = DEFAULT_POLICY
                  ) -> tuple[ConvergenceVerdict, ConvergenceVerdict]:
     """(`asc_verdict`, `asc_theta_verdict`) of one sample, from shared passes.
 
@@ -470,12 +470,12 @@ def asc_verdicts(x: SeqSample, scheme: LacunaryScheme,
     witness tried on both axes is computed once. The prefix axis is checked
     first: a sample too short for both raises the prefix axis's error.
     """
-    asc, theta = _density_verdicts(x, scheme, ("prefix", "block"), grid, policy)
+    asc, theta = _density_verdicts(x, scheme, ("prefix", "block"), policy)
     return asc, theta
 
 
 def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
-                      policy: VerdictPolicy | None = None) -> MeanVerdict:
+                      policy: VerdictPolicy = DEFAULT_POLICY) -> MeanVerdict:
     """Finite-scale verdict for blockwise-mean arithmetic convergence.
 
     Convergent when some witness drives the tail average of the per-block mean
@@ -483,7 +483,6 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     Each block mean is the math.fsum of its deviations over h_r, as in
     `ac_theta_block_means`, so no large early value cancels a later block.
     """
-    policy = policy or DEFAULT_POLICY
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
     outcome, witness, n, tails = _search(
         lambda k: [_interval_fsums(deviations(x, k), lo, hi) / (hi - lo)], policy)

@@ -36,7 +36,7 @@ from .kernel import (
     generate,
 )
 from .density import (
-    DEFAULT_GRID,
+    DEFAULT_POLICY,
     ConvergenceVerdict,
     MeanVerdict,
     Outcome,
@@ -44,7 +44,6 @@ from .density import (
     ac_theta_at_scale,
     asc_theta_verdict,
     asc_verdicts,
-    check_grid,
     coarse_block_density_from_fine,
     density_curve,
     _check_eps,
@@ -92,6 +91,9 @@ __all__ = [
 MIN_LIMINF = 1.05
 #: Finite surrogate for "limsup q_r finite": the tail maximum must stay below this.
 MAX_LIMSUP = 64.0
+#: Largest gap the refinement suite allows between an aggregated coarse block
+#: density and the directly counted one, which differ only by float rounding.
+AGGREGATION_TOLERANCE = 1e-12
 
 
 class HypothesisNotMet(Exception):
@@ -309,18 +311,14 @@ def _contradicts(left, right, both_ways: bool) -> bool:
 def run_inclusion_experiment(hypothesis: str,
                              family: Sequence[tuple[str, SeqSample]],
                              scheme: LacunaryScheme,
-                             grid: Sequence[float] = DEFAULT_GRID,
-                             policy: VerdictPolicy | None = None,
-                             *,
-                             min_liminf: float = MIN_LIMINF,
-                             max_limsup: float = MAX_LIMSUP) -> InclusionExperiment:
+                             policy: VerdictPolicy = DEFAULT_POLICY) -> InclusionExperiment:
     """Compare verdicts across a family for one inclusion hypothesis.
 
     hypotheses:
       lac1       plain convergence should transfer to the blockwise notion
-                 (needs the tail-min ratio estimate to reach min_liminf);
+                 (needs the tail-min ratio estimate to reach MIN_LIMINF);
       lac2       blockwise should transfer back to plain (needs the tail-max
-                 ratio estimate to stay at or below max_limsup);
+                 ratio estimate to stay at or below MAX_LIMSUP);
       corollary  both directions at once (needs both gates);
       ac_subset  blockwise-mean convergence should imply the blockwise
                  statistical verdict (no scheme gate).
@@ -334,17 +332,15 @@ def run_inclusion_experiment(hypothesis: str,
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
     if not family:
         raise ValueError("family must not be empty")
-    grid = check_grid(grid)
-    policy = policy or VerdictPolicy()
     lim_lo, lim_hi = q_ratio_stats(scheme)
-    if hypothesis in ("lac1", "corollary") and lim_lo < min_liminf:
+    if hypothesis in ("lac1", "corollary") and lim_lo < MIN_LIMINF:
         raise HypothesisNotMet(
-            f"tail ratio minimum {lim_lo:.4f} is below {min_liminf}; the scheme "
+            f"tail ratio minimum {lim_lo:.4f} is below {MIN_LIMINF}; the scheme "
             "does not look bounded away from ratio 1"
         )
-    if hypothesis in ("lac2", "corollary") and lim_hi > max_limsup:
+    if hypothesis in ("lac2", "corollary") and lim_hi > MAX_LIMSUP:
         raise HypothesisNotMet(
-            f"tail ratio maximum {lim_hi:.4f} exceeds {max_limsup}; the scheme "
+            f"tail ratio maximum {lim_hi:.4f} exceeds {MAX_LIMSUP}; the scheme "
             "does not look boundedly lacunary"
         )
 
@@ -353,9 +349,9 @@ def run_inclusion_experiment(hypothesis: str,
     for name, x in family:
         if hypothesis == "ac_subset":
             left = ac_theta_at_scale(x, scheme, policy)
-            right = asc_theta_verdict(x, scheme, grid, policy)
+            right = asc_theta_verdict(x, scheme, policy)
         else:
-            asc, theta = asc_verdicts(x, scheme, grid, policy)
+            asc, theta = asc_verdicts(x, scheme, policy)
             # lac1 and corollary share the left-to-right orientation
             left, right = (theta, asc) if hypothesis == "lac2" else (asc, theta)
         supports = not _contradicts(left, right, both_ways)
@@ -476,10 +472,10 @@ def random_generator_spec(rng: np.random.Generator) -> GeneratorSpec:
     return _random_base_spec(rng)
 
 
-def random_sample(rng: np.random.Generator, min_length: int = 64,
-                  max_length: int = 10_000) -> SeqSample:
-    """Random sample: a generated spec, or raw dyadic noise (seeded, reproducible)."""
-    length = int(rng.integers(min_length, max_length + 1))
+def random_sample(rng: np.random.Generator, max_length: int = 10_000) -> SeqSample:
+    """Random sample of 64..max_length values: a generated spec, or raw dyadic
+    noise (seeded, reproducible)."""
+    length = int(rng.integers(64, max_length + 1))
     if rng.random() < 0.25:
         seed = int(rng.integers(0, 2**31))
         vals = np.random.default_rng(seed).integers(-64, 65, size=length) / 8.0
@@ -623,9 +619,8 @@ def lac1_bound_suite(seed: int, instances: int = 500,
 
 
 def refinement_aggregation_suite(seed: int, instances: int = 500,
-                                 max_length: int = 10_000,
-                                 tolerance: float = 1e-12) -> SuiteResult:
-    """Aggregated coarse density equals the direct one within the pinned tolerance."""
+                                 max_length: int = 10_000) -> SuiteResult:
+    """Aggregated coarse density equals the direct one within AGGREGATION_TOLERANCE."""
     def check(x, coarse, fine, n, eps):
         aggregated = coarse_block_density_from_fine(x, refinement_map(coarse, fine), n, eps)
         counted = density_curve(x, n, eps, "block", coarse).values
@@ -636,7 +631,8 @@ def refinement_aggregation_suite(seed: int, instances: int = 500,
                 {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
                  "r": r, "coarse": _scheme_preview(coarse),
                  "fine": _scheme_preview(fine)},
-                not err > tolerance, {"aggregated": agg, "direct": direct, "error": err},
+                not err > AGGREGATION_TOLERANCE,
+                {"aggregated": agg, "direct": direct, "error": err},
             )
 
     result, _, (_, worst) = _run_suite(
@@ -644,7 +640,7 @@ def refinement_aggregation_suite(seed: int, instances: int = 500,
         lambda rng, x: random_refinement(rng, x.length), check,
         lambda rep: rep.witness["error"])
     result.extra["max_error"] = max(0.0, worst)
-    result.extra["tolerance"] = tolerance
+    result.extra["tolerance"] = AGGREGATION_TOLERANCE
     return result
 
 

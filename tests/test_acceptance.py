@@ -20,7 +20,14 @@ from arithstat.continuity import (
     crossing_sequence,
     uniform_limit_check,
 )
-from arithstat.density import DEFAULT_GRID, Outcome, ac_sup_deviation, asc_theta_verdict, asc_verdict
+from arithstat.density import (
+    DEFAULT_GRID,
+    Outcome,
+    VerdictPolicy,
+    ac_sup_deviation,
+    asc_theta_verdict,
+    asc_verdict,
+)
 from arithstat.kernel import GcdPeriodic, SparseSpike, divisors, generate
 from arithstat.lacunary import make_scheme
 from arithstat.theorems import (
@@ -165,7 +172,7 @@ def test_uniform_limit_three_families():
 
 
 def test_negative_controls(family):
-    ramp = asc_verdict(ramp_sample(8193), (1.0,))
+    ramp = asc_verdict(ramp_sample(8193), VerdictPolicy(grid=(1.0,)))
     ramp_ok = ramp.outcome is Outcome.NOT_CONVERGENT
 
     try:

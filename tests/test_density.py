@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from arithstat.kernel import (
     divisors,
     generate,
 )
+from arithstat.cli import build_parser
 from arithstat.density import (
     DEFAULT_GRID,
+    DEFAULT_POLICY,
     ConvergenceVerdict,
     Outcome,
     VerdictPolicy,
@@ -217,6 +220,15 @@ class TestPolicy:
     def test_defaults(self):
         p = VerdictPolicy()
         assert (p.tail_window, p.tol, p.tol_hi, p.n_max, p.growth) == (8, 0.02, 0.2, 64, 1.3)
+        assert p.grid == DEFAULT_GRID
+        assert p == DEFAULT_POLICY
+        grid = VerdictPolicy(grid=[2, 0.5]).grid
+        assert grid == (2.0, 0.5) and all(type(e) is float for e in grid)
+        # the CLI flags take their defaults from the one policy
+        for argv in (["analyze", "--input", "in.json"], ["verify"]):
+            a = build_parser().parse_args([*argv, "--out", "out"])
+            assert VerdictPolicy(a.tail_window, a.tol, a.tol_hi, a.n_max, a.growth,
+                                 [float(e) for e in a.eps_grid.split(",")]) == DEFAULT_POLICY
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tol"):
@@ -227,6 +239,12 @@ class TestPolicy:
             VerdictPolicy(n_max=0)
         with pytest.raises(ValueError, match="growth"):
             VerdictPolicy(growth=0.9)
+        with pytest.raises(ValueError, match="must not be empty"):
+            VerdictPolicy(grid=())
+        with pytest.raises(ValueError, match="strictly decreasing"):
+            VerdictPolicy(grid=(0.5, 1.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            VerdictPolicy(grid=(math.nan,))
 
 
 class TestAscVerdict:
@@ -273,7 +291,7 @@ class TestAscVerdict:
         with pytest.raises(ValueError, match="witness"):
             ConvergenceVerdict(
                 Outcome.INCONCLUSIVE, 3, 3, "prefix",
-                ((1.0, 0.5),), (1.0,), VerdictPolicy(),
+                ((1.0, 0.5),), VerdictPolicy(grid=(1.0,)),
             )
 
 
@@ -300,7 +318,11 @@ class TestAscThetaVerdict:
         d = v.to_dict()
         assert d["outcome"] == "ConvergentAtScale"
         assert d["policy"]["grid"] == [1.0, 0.5, 0.1, 0.05, 0.01]
+        assert list(d["policy"])[-1] == "grid"
         assert d["policy"]["n_max"] == 64
+        # the block-mean rule reads no threshold grid, and its report names none
+        mean = ac_theta_at_scale(gcdper(6, 4096), self.SCHEME).to_dict()
+        assert "grid" not in mean["policy"]
 
 
 class TestMeanVerdict:
@@ -415,10 +437,10 @@ class TestBruteForceRecount:
         vals, points = case
         x, scheme = SeqSample(vals), make_scheme(points)
         length = len(vals)
-        shared = asc_verdicts(x, scheme, DEFAULT_GRID, RECOUNT_POLICY)
+        shared = asc_verdicts(x, scheme, RECOUNT_POLICY)
         for axis, verdict in (
-            ("prefix", asc_verdict(x, DEFAULT_GRID, RECOUNT_POLICY)),
-            ("block", asc_theta_verdict(x, scheme, DEFAULT_GRID, RECOUNT_POLICY)),
+            ("prefix", asc_verdict(x, RECOUNT_POLICY)),
+            ("block", asc_theta_verdict(x, scheme, RECOUNT_POLICY)),
             ("prefix", shared[0]),
             ("block", shared[1]),
         ):
@@ -508,19 +530,49 @@ class TestScalingMetamorphic:
         vals, points = case
         x, scheme = SeqSample(vals), make_scheme(points)
         c = sign * 2.0**k
-        cx, grid = c * x, tuple(abs(c) * e for e in DEFAULT_GRID)
+        cx = c * x
+        policy = replace(RECOUNT_POLICY, grid=tuple(abs(c) * e for e in DEFAULT_GRID))
 
         def key(v):
             return (v.axis, v.outcome, v.witness, v.evaluated_n,
                     [t for _, t in v.tail_densities])
 
         pairs = [
-            (asc_verdict(x, DEFAULT_GRID, RECOUNT_POLICY),
-             asc_verdict(cx, grid, RECOUNT_POLICY)),
-            (asc_theta_verdict(x, scheme, DEFAULT_GRID, RECOUNT_POLICY),
-             asc_theta_verdict(cx, scheme, grid, RECOUNT_POLICY)),
-            *zip(asc_verdicts(x, scheme, DEFAULT_GRID, RECOUNT_POLICY),
-                 asc_verdicts(cx, scheme, grid, RECOUNT_POLICY)),
+            (asc_verdict(x, RECOUNT_POLICY), asc_verdict(cx, policy)),
+            (asc_theta_verdict(x, scheme, RECOUNT_POLICY), asc_theta_verdict(cx, scheme, policy)),
+            *zip(asc_verdicts(x, scheme, RECOUNT_POLICY), asc_verdicts(cx, scheme, policy)),
         ]
         for plain, scaled in pairs:
             assert key(scaled) == key(plain)
+
+
+class TestWitnessMinimality:
+    """The witness is the smallest passing n: searching only up to the witness
+    finds it again with the same tails, and stopping one short finds none."""
+
+    @given(case=recount_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_witness_is_the_smallest_passing_n(self, case):
+        vals, points = case
+        x, scheme = SeqSample(vals), make_scheme(points)
+        verdicts = {
+            "asc": lambda p: asc_verdict(x, p),
+            "asc_theta": lambda p: asc_theta_verdict(x, scheme, p),
+            "shared_asc": lambda p: asc_verdicts(x, scheme, p)[0],
+            "shared_theta": lambda p: asc_verdicts(x, scheme, p)[1],
+            "ac_theta": lambda p: ac_theta_at_scale(x, scheme, p),
+        }
+
+        def key(v):  # outcome, witness, evaluated_n and tails: all but the policy
+            return {k: val for k, val in v.to_dict().items() if k != "policy"}
+
+        for name, verdict_at in verdicts.items():
+            v = verdict_at(RECOUNT_POLICY)
+            if v.outcome is not Outcome.CONVERGENT:
+                continue
+            w = v.witness
+            assert key(verdict_at(replace(RECOUNT_POLICY, n_max=w))) == key(v), name
+            if w > 1:
+                short = verdict_at(replace(RECOUNT_POLICY, n_max=w - 1))
+                assert short.outcome is not Outcome.CONVERGENT, name
+                assert short.evaluated_n <= w - 1, name

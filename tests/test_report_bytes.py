@@ -6,7 +6,9 @@ search and suite code was consolidated (x86-64 Linux, Python 3.11, numpy
 share one deviation pass per witness, those of `verify-100` before the
 block checks came to count every block of an instance from one pass, and
 those of `verify-fault` before the scaling and sum checks came to return
-both axes from one flag mask and the injected fault to compare flag masks. Any
+both axes from one flag mask and the injected fault to compare flag masks, and
+those of `analyze-grid` and `verify-grid` before the threshold grid became a
+field of the verdict policy. Any
 change to a verdict, a density, a scheme generator or a suite draw shows up
 as a changed digest.
 """
@@ -55,6 +57,12 @@ RUNS = {
                       "--n-max", "16"],
     # the failing path: one injected scalar-closure failure, exit 1
     "verify-fault": ["verify", "--instances", "20", "--seed", "7", "--inject-fault", "scaling"],
+    # non-default decision rules: a coarse grid with a short tail and a looser tol
+    "analyze-grid": ["analyze", "--input", "spec.json", "--length", "4096",
+                     "--scheme", "dyadic.json", "--eps-grid", "2,0.3", "--tail-window", "4",
+                     "--tol", "0.05"],
+    "verify-grid": ["verify", "--instances", "20", "--seed", "7",
+                    "--eps-grid", "1,0.25,0.05", "--tail-window", "4"],
 }
 #: exit code of each run that does not end in EXIT_OK
 EXIT = {"verify-fault": EXIT_VERIFY_FAILED}
@@ -78,6 +86,12 @@ EXPECTED = {
     "verify-fault/stdout": "02e613ed711535c8d1588fcfc176e11b86dfa65a7f81d00bf9e7d9962d9dc951",
     "verify-fault/verify_report.json":
         "d783be0c06ef36fd847927703f33cba6b6d3c5fc23f16e655e2e671d6b55fad4",
+    "analyze-grid/stdout": "e3c5bec14784af90a5b092e2061909faab1eb5d9702b4ce17dcfbd9d78d3be4d",
+    "analyze-grid/curves.csv": "17efe672bcc0ef87b1be48efb1189687845c4baa75258d463b6f895370e94bc2",
+    "analyze-grid/report.json": "faa0fbd20720f504d9f4e83986f46b9a4d55400510e2680210497056948c54b2",
+    "verify-grid/stdout": "80f95e4bd99f281a3b83ffb410ddbfe1ffcfd79b652235bbc00918e64e10fd5d",
+    "verify-grid/verify_report.json":
+        "9cd958835c1420e5e16a50768d79881458d59963b979b26755d09c8f49c34fbc",
 }
 
 
