@@ -86,6 +86,10 @@ MAX_SPEC_DEPTH = 100
 #: the segment count reduces), about 1 GiB at 2**25; that is 16 times the
 #: longest benchmark sample (2**21).
 MAX_LENGTH = 2**25
+#: Largest --n-max. Every witness costs a deviation pass over the whole
+#: sample, so a search runs n_max passes per axis: 2**16 of them take about
+#: 5 s on a 200-value sample and minutes at 2**20 points.
+MAX_N_MAX = 2**16
 #: Errors of malformed JSON values, such as a number too large for a float or
 #: a list where an object belongs.
 _VALUE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
@@ -148,13 +152,16 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     length = getattr(args, "length", None)
     if length is not None and not 1 <= length <= MAX_LENGTH:
         raise ConfigError(f"--length must lie in 1..{MAX_LENGTH}, got {length}")
+    n_max = getattr(args, "n_max", DEFAULT_POLICY.n_max)
+    if n_max > MAX_N_MAX:
+        raise ConfigError(f"--n-max must be at most {MAX_N_MAX}, got {n_max}")
     cfg = RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
         schemes=tuple(getattr(args, "scheme", None) or ()),
         length=length,
         grid=grid,
-        n_max=getattr(args, "n_max", DEFAULT_POLICY.n_max),
+        n_max=n_max,
         tail_window=getattr(args, "tail_window", DEFAULT_POLICY.tail_window),
         tol=getattr(args, "tol", DEFAULT_POLICY.tol),
         tol_hi=getattr(args, "tol_hi", DEFAULT_POLICY.tol_hi),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -380,7 +381,7 @@ def _tail_stats(curve: np.ndarray, window: int) -> tuple[float, bool]:
     return float(seg.mean()), bool(np.all(np.diff(seg) >= 0))
 
 
-def _search(make_curves: Callable[[int], list[np.ndarray]],
+def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[np.ndarray]],
             policy: VerdictPolicy) -> tuple[Outcome, int | None, int, list[float]]:
     """Witness search over n = 1..n_max: (outcome, witness, evaluated_n, tails).
 
@@ -389,55 +390,66 @@ def _search(make_curves: Callable[[int], list[np.ndarray]],
     >= tol_hi and a non-decreasing tail segment); else Inconclusive. Without
     a witness, evaluated_n is the n whose largest tail is smallest. `tails`
     holds the tail of each curve at evaluated_n.
+
+    `finest(n)` is the curve of the finest threshold, `full(n)` every curve
+    in grid order. The flag sets are nested in epsilon, so the finest curve
+    is the largest at every point, and its tail, summed and divided with
+    monotone float rounding, is exactly the largest tail. The search reads
+    `full` only for the tails at evaluated_n, and for the hard evidence of an
+    n whose finest tail is >= tol_hi but not non-decreasing while every
+    earlier n was hard: only there can a coarser curve decide the outcome.
     """
-    best: tuple[float, int, list[float]] | None = None
+    def stats(n: int) -> list[tuple[float, bool]]:
+        return [_tail_stats(c, policy.tail_window) for c in full(n)]
+
+    best: tuple[float, int] | None = None
     every_n_hard = True
     for n in range(1, policy.n_max + 1):
-        stats = [_tail_stats(c, policy.tail_window) for c in make_curves(n)]
-        tails = [t for t, _ in stats]
-        if max(tails) <= policy.tol:
-            return Outcome.CONVERGENT, n, n, tails
-        every_n_hard = every_n_hard and any(
-            t >= policy.tol_hi and mono for t, mono in stats
-        )
-        if best is None or max(tails) < best[0]:
-            best = (max(tails), n, tails)
+        top, mono = _tail_stats(finest(n), policy.tail_window)
+        if top <= policy.tol:
+            return Outcome.CONVERGENT, n, n, [t for t, _ in stats(n)]
+        if every_n_hard and not (top >= policy.tol_hi and mono):
+            every_n_hard = top >= policy.tol_hi and any(
+                t >= policy.tol_hi and m for t, m in stats(n))
+        if best is None or top < best[0]:
+            best = (top, n)
     assert best is not None
     outcome = Outcome.NOT_CONVERGENT if every_n_hard else Outcome.INCONCLUSIVE
-    return outcome, None, best[1], best[2]
+    return outcome, None, best[1], [t for t, _ in stats(best[1])]
 
 
 def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
                       policy: VerdictPolicy) -> list[ConvergenceVerdict]:
     """Witness searches over the per-epsilon density curves of each axis in `axes`.
 
-    A witness n costs one deviation pass, and each epsilon one flag array
-    counted over the intervals of every axis at once. The densities are kept
-    by n, so an axis that searches further reuses the passes made for the
-    others; each axis still stops at its own smallest passing n.
+    A witness n costs one deviation pass and one flag array of the finest
+    threshold, counted over the intervals of every axis at once. Those
+    densities are kept by n, so an axis that searches further reuses the
+    passes made for the others; each axis still stops at its own smallest
+    passing n. The full grid costs one more deviation pass, at the few n
+    where `_search` reads it, and is kept by n as well.
     """
     bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
               for axis in axes]
     lo = np.concatenate([b[0] for b in bounds])
     hi = np.concatenate([b[1] for b in bounds])
     span = hi - lo
-    kept: dict[int, list[np.ndarray]] = {}
 
-    def densities(n: int) -> list[np.ndarray]:
-        if n not in kept:
-            dev = deviations(x, n)
-            kept[n] = [_interval_sums(dev >= e, lo, hi) / span for e in policy.grid]
-        return kept[n]
+    @cache
+    def densities(n: int, grid: tuple[float, ...]) -> np.ndarray:
+        dev = deviations(x, n)
+        return np.array([_interval_sums(dev >= e, lo, hi) / span for e in grid])
 
     verdicts, start = [], 0
     for axis, (_, axis_hi) in zip(axes, bounds):
         part = slice(start, start + axis_hi.size)
         start = part.stop
         outcome, witness, n, tails = _search(
-            lambda k, part=part: [d[part] for d in densities(k)], policy)
+            lambda k, part=part: densities(k, policy.grid[-1:])[0, part],
+            lambda k, part=part: densities(k, policy.grid)[:, part], policy)
         verdicts.append(ConvergenceVerdict(
             outcome, witness, n, axis, tuple(zip(policy.grid, tails)), policy,
-            _curve_index(axis, axis_hi), np.array([d[part] for d in densities(n)])))
+            _curve_index(axis, axis_hi), densities(n, policy.grid)[:, part]))
     return verdicts
 
 
@@ -484,6 +496,10 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     `ac_theta_block_means`, so no large early value cancels a later block.
     """
     lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
-    outcome, witness, n, tails = _search(
-        lambda k: [_interval_fsums(deviations(x, k), lo, hi) / (hi - lo)], policy)
+
+    @cache
+    def means(k: int) -> np.ndarray:
+        return _interval_fsums(deviations(x, k), lo, hi) / (hi - lo)
+
+    outcome, witness, n, tails = _search(means, lambda k: [means(k)], policy)
     return MeanVerdict(outcome, witness, n, tails[0], policy)

@@ -33,10 +33,12 @@ __all__ = [
 
 
 def check_witness(n: int) -> int:
-    """Normalize a witness modulus, rejecting anything below 1."""
+    """Normalize a witness modulus, rejecting anything below 1 or past int64."""
     k = int(n)
     if k != n or k < 1:
         raise ValueError(f"witness modulus must be a positive integer, got {n!r}")
+    if k >= 2**63:
+        raise ValueError(f"witness modulus {k} does not fit in int64")
     return k
 
 

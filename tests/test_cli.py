@@ -18,6 +18,7 @@ from arithstat.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     MAX_LENGTH,
+    MAX_N_MAX,
     main,
 )
 from arithstat.kernel import SparseSpike, generate
@@ -405,6 +406,19 @@ class TestConsoleScript:
         assert proc.stderr.startswith("config error:")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n_max", [str(MAX_N_MAX + 1), "100000000000"])
+    def test_oversized_witness_bound_is_refused(self, tmp_path, n_max):
+        # each witness costs a deviation pass: 10**11 of them would run for days
+        data = tmp_path / "small.csv"
+        data.write_text("".join(f"{m % 17 / 8}\n" for m in range(200)))
+        proc = run_declared_entry_point(
+            "analyze", "--input", str(data), "--tail-window", "2", "--n-max", n_max,
+            "--out", str(tmp_path / "o"),
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr == f"config error: --n-max must be at most {MAX_N_MAX}, got {n_max}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.skipif(shutil.which("arithstat") is None,
                         reason="arithstat console script is not installed on PATH")

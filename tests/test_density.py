@@ -17,6 +17,7 @@ from arithstat.kernel import (
     divisors,
     generate,
 )
+from arithstat import density
 from arithstat.cli import build_parser
 from arithstat.density import (
     DEFAULT_GRID,
@@ -472,6 +473,65 @@ class TestBruteForceRecount:
             outcome, witness, evaluated_n)
         assert abs(mean.tail_mean - tails[0]) <= 1e-12
         assert ac_theta_block_means(x, scheme, n) == brute_mean_curve(vals, n, blocks)
+
+
+class TestFinestThreshold:
+    """The flag sets are nested in epsilon, so the search reads the finest
+    threshold alone, and the rest of the grid only where a decision needs it."""
+
+    @given(case=recount_cases(), n=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_finest_density_and_tail_are_the_largest(self, case, n):
+        vals, points = case
+        x, scheme = SeqSample(vals), make_scheme(points)
+        window = RECOUNT_POLICY.tail_window
+        for verdict in asc_verdicts(x, scheme, RECOUNT_POLICY):
+            at_n = [density_curve(x, n, e, verdict.axis, scheme, RECOUNT_POLICY.growth).values
+                    for e in DEFAULT_GRID]
+            for rows, tails in (
+                ([c.values for c in verdict.curves()], [t for _, t in verdict.tail_densities]),
+                (at_n, [float(np.mean(row[-window:])) for row in at_n]),
+            ):
+                for row in rows[:-1]:
+                    assert all(f >= d for f, d in zip(rows[-1], row))
+                assert tails[-1] == max(tails)
+
+    def test_coarser_curve_supplies_the_hard_evidence(self):
+        # x_1..x_8 = 0 anchors every m > 8 at 0 for each n <= 8, so every
+        # witness has the same curves: the finest (0.01) block densities
+        # 1.0, 0.4, 0.5, 0.6 have a tail >= tol_hi that falls, and those of
+        # every coarser threshold, 0.3, 0.4, 0.5, 0.6, rise.
+        vals = [0.0] * 8
+        for big in (3, 4, 5, 6):
+            small = 7 if big == 3 else 0
+            vals += [2.0] * big + [0.02] * small + [0.0] * (10 - big - small)
+        points = [8, 18, 28, 38, 48]
+        x, scheme = SeqSample(vals), make_scheme(points)
+        blocks = brute_intervals(len(vals), "block", points)
+        assert brute_density_curve(vals, 1, 0.01, blocks) == [1.0, 0.4, 0.5, 0.6]
+        assert brute_density_curve(vals, 1, 1.0, blocks) == [0.3, 0.4, 0.5, 0.6]
+        outcome, witness, evaluated_n, tails = brute_search(
+            lambda k: [brute_density_curve(vals, k, e, blocks) for e in DEFAULT_GRID])
+        assert (outcome, witness, evaluated_n) == ("NotConvergentAtScale", None, 1)
+        for verdict in (asc_theta_verdict(x, scheme, RECOUNT_POLICY),
+                        asc_verdicts(x, scheme, RECOUNT_POLICY)[1]):
+            assert verdict.outcome is Outcome.NOT_CONVERGENT
+            assert (verdict.witness, verdict.evaluated_n) == (None, 1)
+            assert [t for _, t in verdict.tail_densities] == pytest.approx(tails, abs=1e-12)
+
+    def test_search_counts_the_full_grid_only_where_read(self, monkeypatch):
+        calls = {"deviations": 0, "_interval_sums": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(density, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(density, name, counted)
+        noise = np.random.default_rng(1).integers(-64, 65, size=4096) / 8.0
+        verdicts = asc_verdicts(SeqSample(noise), make_scheme(2**j for j in range(13)))
+        assert [v.witness for v in verdicts] == [None, None]
+        n_max, grid = DEFAULT_POLICY.n_max, DEFAULT_POLICY.grid
+        assert calls["deviations"] <= n_max + 3
+        assert calls["_interval_sums"] <= n_max + 3 * len(grid)
 
 
 class TestBlockCheckRecount:

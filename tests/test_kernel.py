@@ -87,6 +87,11 @@ class TestGcdPair:
             check_witness(0)
         with pytest.raises(ValueError, match="witness"):
             check_witness(2.5)
+        assert check_witness(2**63 - 1) == 2**63 - 1
+        with pytest.raises(ValueError, match="int64"):
+            check_witness(2**63)
+        with pytest.raises(ValueError, match="int64"):
+            deviations(SeqSample([1.0, 2.0]), 2**63)
 
 
 class TestDivisors:
