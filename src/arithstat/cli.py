@@ -9,10 +9,15 @@ timestamps or machine details are embedded anywhere.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import json
 import sys
+from collections import deque
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +86,19 @@ CSV_HEADER = ("axis", "index", "epsilon", "witness_n", "density")
 
 #: Deepest nesting of `scaled` and `sum` nodes accepted in a generator spec.
 MAX_SPEC_DEPTH = 100
-#: Largest --length. A witness pass holds several full-length arrays of 8
-#: bytes per index (values, deviations, the int64 copy of a flag array that
-#: the segment count reduces), about 1 GiB at 2**25; that is 16 times the
-#: longest benchmark sample (2**21).
+#: Largest --length, and most values a CSV may hold. A witness pass holds
+#: full-length values and deviations (8 bytes per index each), flags (1 byte)
+#: and the int32 copy of the flags that the segment count reduces (4 bytes):
+#: 21 bytes per index, 672 MiB at 2**25. That is 16 times the longest
+#: benchmark sample (2**21).
 MAX_LENGTH = 2**25
 #: Largest --n-max. Every witness costs a deviation pass over the whole
 #: sample, so a search runs n_max passes per axis: 2**16 of them take about
 #: 5 s on a 200-value sample and minutes at 2**20 points.
 MAX_N_MAX = 2**16
+#: Bytes of a CSV decoded at a time. A load holds one chunk's text and lines
+#: besides the value array, never the whole text.
+_CSV_CHUNK = 2**18
 #: Errors of malformed JSON values, such as a number too large for a float or
 #: a list where an object belongs.
 _VALUE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
@@ -253,7 +262,7 @@ def _read_text(path: Path) -> str:
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
-        raise InputError(f"{path} is not UTF-8 text: {e}") from None
+        raise _not_utf8(path, e, 0) from None
 
 
 def _read_json(path: Path):
@@ -278,21 +287,73 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
             return generate(spec, length)
         except ValueError as e:
             raise InputError(f"{p}: {e}") from None
-    lines = [ln.strip() for ln in _read_text(p).splitlines() if ln.strip()]
-    if not lines:
+    with closing(_csv_lines(p)) as chunks:
+        lines = chain.from_iterable(chunks)
+        try:
+            vals = np.fromiter(map(float, islice(lines, MAX_LENGTH + 1)), np.float64)
+        except ValueError:
+            # A bad byte anywhere in the file outranks a bad line, as it did
+            # when the whole text was decoded before any line was parsed.
+            deque(lines, maxlen=0)
+            raise InputError(f"{p} holds a non-numeric line") from None
+    if vals.size > MAX_LENGTH:
+        raise InputError(f"{p} holds more than {MAX_LENGTH} values")
+    if not vals.size:
         raise InputError(f"{p} holds no values")
-    try:
-        vals = [float(v) for v in lines]
-    except ValueError:
-        raise InputError(f"{p} holds a non-numeric line") from None
     if length is not None:
-        if length > len(vals):
-            raise InputError(f"--length {length} exceeds the {len(vals)} values in {p}")
+        if length > vals.size:
+            raise InputError(f"--length {length} exceeds the {vals.size} values in {p}")
         vals = vals[:length]
     try:
-        return SeqSample(np.asarray(vals), recipe=f"csv({p.name})")
+        return SeqSample(vals, recipe=f"csv({p.name})")
     except ValueError as e:
         raise InputError(str(e)) from None
+
+
+def _csv_lines(p: Path) -> Iterator[list[str]]:
+    """The stripped, non-empty lines of a UTF-8 file, one list per chunk read.
+
+    Lines end where `str.splitlines` ends them on the whole text: at \\n, \\r,
+    \\r\\n, \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029. Text after a chunk's
+    last line break begins the next chunk's first line. A decode error raises
+    InputError with the message that decoding the whole file gives.
+    """
+    with open(p, "rb") as fh:
+        pos, undecoded, head = 0, b"", []  # head: pieces of a line not yet ended
+        while True:
+            chunk = fh.read(_CSV_CHUNK)
+            data = undecoded + chunk
+            try:  # at the end of the file, an unfinished character is an error
+                text, used = codecs.utf_8_decode(data, "strict", not chunk)
+            except UnicodeDecodeError as e:
+                raise _not_utf8(p, e, pos - len(undecoded)) from None
+            if not chunk:
+                break
+            pos, undecoded = pos + len(chunk), data[used:]
+            lines = text.splitlines()
+            # the last line runs on unless the text ends in a line break
+            tail = lines.pop() if lines and lines[-1] and text.endswith(lines[-1]) else None
+            if lines:
+                head.append(lines[0])
+                lines[0] = "".join(head)
+                head = []
+            if tail is not None:
+                head.append(tail)
+            yield [s for s in map(str.strip, lines) if s]
+        last = "".join(head).strip()
+        yield [last] if last else []
+
+
+def _not_utf8(p: Path, e: UnicodeDecodeError, offset: int) -> InputError:
+    """The refusal of a decode error `e` in bytes that start `offset` bytes
+    into the file, worded as `str(e)` words it, with file positions."""
+    start, end = offset + e.start, offset + e.end
+    if end - start == 1:
+        where = f"byte 0x{e.object[e.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return InputError(f"{p} is not UTF-8 text: '{e.encoding}' codec can't decode {where}: "
+                      f"{e.reason}")
 
 
 def load_scheme(path: str) -> LacunaryScheme:

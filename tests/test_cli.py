@@ -6,11 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import arithstat
+from arithstat import cli
 from arithstat.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -197,6 +199,74 @@ class TestAnalyze:
         a, b = outs
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+
+
+class TestCsvLoad:
+    """The CSV is read in chunks of `cli._CSV_CHUNK` bytes, but validated whole."""
+
+    def analyze(self, capsys, seq, *flags: str) -> str:
+        capsys.readouterr()
+        rc = main(["analyze", "--input", str(seq), *flags, "--out", str(seq.parent / "o")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT, err
+        assert_one_line_input_error(err)
+        return err
+
+    @pytest.mark.parametrize("before", [b"", b"1.0\ntwo\n"])
+    def test_bad_byte_past_the_first_chunk(self, tmp_path, capsys, before):
+        # UnicodeDecodeError is a ValueError: it must not read as a bad line,
+        # and it outranks a bad line that comes before it
+        data = before + b"0.125\n" * (cli._CSV_CHUNK // 6 + 100) + b"\xff\n"
+        assert data.index(b"\xff") >= cli._CSV_CHUNK
+        seq = tmp_path / "seq.csv"
+        seq.write_bytes(data)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            whole = e
+        # the position counts from the start of the file, not of the chunk
+        assert self.analyze(capsys, seq) == f"input error: {seq} is not UTF-8 text: {whole}\n"
+
+    def test_bad_line_past_length_is_refused(self, tmp_path, capsys):
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0.0\n" * 300 + "two\n")
+        err = self.analyze(capsys, seq, "--length", "256")
+        assert err == f"input error: {seq} holds a non-numeric line\n"
+
+    def test_length_past_the_values_is_refused(self, tmp_path, capsys):
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0.0\n" * 300)
+        err = self.analyze(capsys, seq, "--length", "301")
+        assert err == f"input error: --length 301 exceeds the 300 values in {seq}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("--length", "4")])
+    def test_value_count_is_capped(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr(cli, "MAX_LENGTH", 8)
+        seq = tmp_path / "seq.csv"
+        seq.write_text("0.5\n" * 8)
+        rc = main(["analyze", "--input", str(seq), *flags, "--n-max", "2",
+                   "--tail-window", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        # reading stops at the ninth value: a bad byte in a later chunk is never read
+        monkeypatch.setattr(cli, "_CSV_CHUNK", 4)
+        seq.write_bytes(b"0.5\n" * 9 + b"\xff\n")
+        err = self.analyze(capsys, seq, *flags)
+        assert err == f"input error: {seq} holds more than 8 values\n"
+
+    def test_load_memory_stays_near_the_value_array(self, tmp_path):
+        # the text, its lines and their floats are never all held at once:
+        # loading the whole text first peaked at 13.8 times the value array
+        seq = tmp_path / "seq.csv"
+        with open(seq, "w") as fh:
+            fh.writelines(f"{(m % 129 - 64) / 8:.3f}\n" for m in range(2**18))
+        tracemalloc.start()
+        try:
+            x = cli.load_sequence(str(seq), None)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.length == 2**18
+        assert peak < 6 * x.values.nbytes
 
 
 class TestScheme:

@@ -2,16 +2,20 @@
 
 Whatever the file holds, the command ends with exit code 0, 2 (malformed
 input) or 3 (invalid configuration), never with an escaping exception, and a
-nonzero exit writes exactly one line to stderr.
+nonzero exit writes exactly one line to stderr. The chunked CSV loader reads
+the same values as `float` over the whole text's `str.splitlines`.
 """
 from __future__ import annotations
 
 import json
+import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from arithstat.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
+from arithstat import cli
+from arithstat.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, InputError, main
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -59,10 +63,19 @@ scheme_specs = st.one_of(
                            | json_values}),
     json_values)
 
+#: Every line break of `str.splitlines`, and \r\n
+LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
 csv_bytes = st.one_of(
     st.binary(max_size=512),
-    st.lists(st.integers(-64, 64).map(lambda k: f"{k / 8}") | st.text(max_size=4),
-             min_size=1, max_size=300).map(lambda lines: "\n".join(lines).encode()))
+    st.lists(st.tuples(st.integers(-64, 64).map(lambda k: f"{k / 8}") | st.text(max_size=4),
+                       st.sampled_from(LINE_BREAKS)),
+             min_size=1, max_size=300).map(lambda lines: "".join(map("".join, lines)).encode()))
+
+#: digits, blanks, every line break and a letter that can also make exponents
+csv_text = st.lists(st.sampled_from((*"0123456789", " ", "\t", *LINE_BREAKS, "e")),
+                    max_size=40).map("".join)
 
 
 def run_analyze(tmp_path, capsys, *args: str) -> None:
@@ -98,3 +111,36 @@ def test_csv_bytes(tmp_path, capsys, content):
     path = tmp_path / "seq.csv"
     path.write_bytes(content)
     run_analyze(tmp_path, capsys, "--input", str(path))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+@given(text=csv_text, bad=st.none() | st.tuples(
+    st.integers(0, 80), st.sampled_from((b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"))))
+@FUZZ
+def test_csv_values_are_those_of_splitlines(tmp_path, monkeypatch, chunk, text, bad):
+    # tiny chunks put a chunk boundary at every position, \r\n included
+    monkeypatch.setattr(cli, "_CSV_CHUNK", chunk)
+    data = text.encode()
+    if bad is not None:  # may split a multibyte line break
+        at, junk = bad
+        data = data[:at] + junk + data[at:]
+    path = tmp_path / "seq.csv"
+    path.write_bytes(data)
+    try:
+        whole = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        with pytest.raises(InputError) as refused:
+            cli.load_sequence(str(path), None)
+        assert str(refused.value) == f"{path} is not UTF-8 text: {e}"
+        return
+    try:
+        want = [float(s) for s in whole.splitlines() if s.strip()]
+    except ValueError:
+        want = []
+    if not all(map(math.isfinite, want)):
+        want = []
+    try:  # a loaded sample is never empty: [] stands for a refusal
+        got = cli.load_sequence(str(path), None).values.tolist()
+    except InputError:
+        got = []
+    assert got == want
