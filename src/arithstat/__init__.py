@@ -53,6 +53,7 @@ from .density import (
 )
 from .theorems import (
     CheckReport,
+    Evidence,
     HypothesisNotMet,
     InclusionExperiment,
     check_delta_transfer,
@@ -60,6 +61,7 @@ from .theorems import (
     check_markov_step,
     check_scalar_closure,
     check_sum_closure,
+    evidence_table,
     ramp_sample,
     run_inclusion_experiment,
     run_property_suite,
@@ -96,9 +98,9 @@ __all__ = [
     "Outcome", "VerdictPolicy", "ac_sup_deviation", "ac_theta_at_scale", "ac_theta_block_means",
     "asc_theta_verdict", "asc_verdict", "asc_verdicts", "coarse_block_density_from_fine",
     "density_curve", "ntheta_norm", "prefix_checkpoints",
-    "CheckReport", "HypothesisNotMet", "InclusionExperiment",
+    "CheckReport", "Evidence", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
-    "check_scalar_closure", "check_sum_closure", "ramp_sample",
+    "check_scalar_closure", "check_sum_closure", "evidence_table", "ramp_sample",
     "run_inclusion_experiment", "run_property_suite", "standard_family",
     "Affine", "Clamp", "Composition", "ContinuityReport", "FnDifference",
     "FnSum", "Polynomial", "RealFunction", "Tabulated", "apply_fn",

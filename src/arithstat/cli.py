@@ -44,7 +44,6 @@ from .density import (
     check_grid,
     ntheta_norm,
     Outcome,
-    _intervals,
 )
 from .lacunary import (
     LacunaryScheme,
@@ -61,6 +60,7 @@ from .lacunary import (
 from .theorems import (
     CheckReport,
     HypothesisNotMet,
+    evidence_table,
     ramp_sample,
     run_inclusion_experiment,
     run_property_suite,
@@ -496,13 +496,15 @@ def cmd_verify(cfg: RunConfig) -> bool:
     policy = cfg.policy()
     ok = True
     try:
-        # refuse, before the suites run, a config the experiments below cannot use
+        # every verdict of the family, searched before the suites run, so a
+        # config the experiments below cannot use is refused first
         scheme = make_scheme(2**j for j in range(length.bit_length()))
-        for axis in ("prefix", "block"):
-            _intervals(length, axis, scheme, policy.growth, policy.tail_window)
+        family = standard_family(length)
+        table = evidence_table(family, scheme, policy)
         q_ratio_stats(scheme)
-        crossing = [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
-                                                   gap=min(policy.grid) / 2))]
+        crossing = evidence_table(
+            [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
+                                            gap=min(policy.grid) / 2))], scheme, policy)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -520,10 +522,9 @@ def cmd_verify(cfg: RunConfig) -> bool:
         ok &= _ok_line(f"property {name} ({res.instances} instances)", res.passed)
 
     try:
-        family = standard_family(length)
         experiments = {}
         for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
-            exp = run_inclusion_experiment(hyp, family, scheme, policy)
+            exp = run_inclusion_experiment(hyp, table, scheme)
             experiments[hyp] = exp.to_dict()
             good = exp.summary["contradictions"] == 0
             ok &= _ok_line(
@@ -533,12 +534,14 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
         continuity_report = {}
         aff, clamp = Affine(2.0, -1.0), Clamp(-1.0, 5.0)
+        base = []
         for label, fn in (("affine", aff), ("clamp", clamp)):
-            rep = continuity_battery(fn, family, scheme, policy)
+            rep = continuity_battery(fn, table)
+            base.append(rep)
             continuity_report[f"battery_{label}"] = rep.to_dict()
             good = rep.contradiction_count == 0 and rep.support_count > 0
             ok &= _ok_line(f"continuity battery {label}", good)
-        closure = closure_checks(aff, clamp, family, scheme, policy)
+        closure = closure_checks(aff, clamp, table, *base)
         continuity_report["closure"] = closure.to_dict()
         ok &= _ok_line("continuity closure (sum, difference, composition)", closure.passed)
 
@@ -570,7 +573,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
         square_scheme = make_scheme(r * r for r in range(1, 62))
         try:
-            run_inclusion_experiment("lac1", family, square_scheme, policy)
+            run_inclusion_experiment("lac1", table, square_scheme)
             refused, note = False, "experiment unexpectedly ran"
         except HypothesisNotMet as e:
             refused, note = True, str(e)
@@ -578,7 +581,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
         ok &= _ok_line("control: square scheme refuses the lac1 experiment", refused)
 
         step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
-        rep = continuity_battery(step, family + crossing, scheme, policy)
+        rep = continuity_battery(step, table + crossing)
         controls["step_battery"] = rep.to_dict()
         good = rep.contradiction_count >= 1
         ok &= _ok_line("control: step function produces a contradiction", good)

@@ -18,16 +18,14 @@ import numpy as np
 
 from .kernel import SeqSample, check_witness, gcd_anchors
 from .density import (
-    DEFAULT_POLICY,
     Outcome,
-    VerdictPolicy,
     _check_eps,
     _first_hit,
     _intervals,
     asc_theta_verdict,
 )
 from .lacunary import LacunaryScheme
-from .theorems import CheckReport, HypothesisNotMet
+from .theorems import CheckReport, Evidence, HypothesisNotMet
 
 __all__ = [
     "Affine",
@@ -234,54 +232,53 @@ class ContinuityReport:
         }
 
 
-def continuity_battery(f: RealFunction, family: Sequence[tuple[str, SeqSample]],
-                       scheme: LacunaryScheme,
-                       policy: VerdictPolicy = DEFAULT_POLICY) -> ContinuityReport:
-    """Blockwise verdicts before and after mapping each family member through f."""
-    if not family:
-        raise ValueError("family must not be empty")
+def continuity_battery(f: RealFunction, table: Sequence[Evidence]) -> ContinuityReport:
+    """Blockwise verdicts before and after mapping each member of an evidence table through f.
+
+    The verdict before mapping is the table's `theta`; each mapped member is
+    searched once, under the member's scheme and policy.
+    """
     entries = []
-    for name, x in family:
-        vin = asc_theta_verdict(x, scheme, policy)
+    for e in table:
+        vin = e.theta
         if vin.outcome is not Outcome.CONVERGENT:
-            entries.append(BatteryEntry(name, vin.outcome, vin.witness, None, "skipped"))
+            entries.append(BatteryEntry(e.name, vin.outcome, vin.witness, None, "skipped"))
             continue
-        vout = asc_theta_verdict(map_sequence(f, x), scheme, policy)
+        vout = asc_theta_verdict(map_sequence(f, e.sample), e.scheme, vin.policy)
         if vout.outcome is Outcome.NOT_CONVERGENT:
             status = "contradiction"
         elif vout.outcome is Outcome.INCONCLUSIVE:
             status = "inconclusive"
         else:
             status = "support"
-        entries.append(BatteryEntry(name, vin.outcome, vin.witness, vout.outcome, status))
+        entries.append(BatteryEntry(e.name, vin.outcome, vin.witness, vout.outcome, status))
     return ContinuityReport(describe_fn(f), tuple(entries), *(
         sum(e.status == status for e in entries)
         for status in ("support", "contradiction", "inconclusive", "skipped")))
 
 
-def closure_checks(f: RealFunction, g: RealFunction,
-                   family: Sequence[tuple[str, SeqSample]],
-                   scheme: LacunaryScheme,
-                   policy: VerdictPolicy = DEFAULT_POLICY) -> CheckReport:
+def closure_checks(f: RealFunction, g: RealFunction, table: Sequence[Evidence],
+                   f_report: ContinuityReport, g_report: ContinuityReport) -> CheckReport:
     """Sum, difference, and composition must preserve what f and g preserve.
 
-    Vacuously passes when f or g already contradicts the battery on its own
-    (the closure statement assumes both behave).
+    `f_report` and `g_report` are the batteries of f and g over the same
+    table. Vacuously passes when f or g already contradicts the battery on
+    its own (the closure statement assumes both behave).
     """
-    rf = continuity_battery(f, family, scheme, policy)
-    rg = continuity_battery(g, family, scheme, policy)
-    instance = {"f": describe_fn(f), "g": describe_fn(g), "family_size": len(family)}
-    if rf.contradiction_count or rg.contradiction_count:
+    if (f_report.function, g_report.function) != (describe_fn(f), describe_fn(g)):
+        raise ValueError("the base reports must be the batteries of f and g")
+    instance = {"f": describe_fn(f), "g": describe_fn(g), "family_size": len(table)}
+    if f_report.contradiction_count or g_report.contradiction_count:
         return CheckReport(
             "closure_checks", instance, True,
             {"note": "vacuous, a base function already contradicts",
-             "f_contradictions": rf.contradiction_count,
-             "g_contradictions": rg.contradiction_count},
+             "f_contradictions": f_report.contradiction_count,
+             "g_contradictions": g_report.contradiction_count},
         )
     derived = {
-        "sum": continuity_battery(FnSum(f, g), family, scheme, policy),
-        "difference": continuity_battery(FnDifference(f, g), family, scheme, policy),
-        "composition": continuity_battery(Composition(f, g), family, scheme, policy),
+        "sum": continuity_battery(FnSum(f, g), table),
+        "difference": continuity_battery(FnDifference(f, g), table),
+        "composition": continuity_battery(Composition(f, g), table),
     }
     bad = {k: r.contradiction_count for k, r in derived.items() if r.contradiction_count}
     return CheckReport("closure_checks", instance, not bad, {"contradictions": bad} if bad else None)
@@ -357,6 +354,6 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
         | (np.abs(fNxg - fNx) >= eps / 3)
         | (np.abs(fNx - fx) >= eps / 3)
     )
-    hit = _first_hit(target & ~cover, *_intervals(x.length, "block", scheme))
+    hit = _first_hit(target & ~cover, _intervals(x.length, "block", scheme))
     return CheckReport("uniform_limit", instance, hit is None, None if hit is None else
                        {"block": hit[0] + 1, "uncovered": hit[1]})

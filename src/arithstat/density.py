@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from itertools import groupby
 from typing import Callable, Sequence
 
@@ -104,8 +104,9 @@ def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: in
     up to float rounding (the suite pins the gap at 1e-12).
     """
     pairs = _pairs_within(relation, x.length)
-    counts = _interval_sums(_flags(x, n, eps), np.array([p.lo for p in pairs], dtype=np.int64),
-                            np.array([p.hi for p in pairs], dtype=np.int64)).tolist()
+    counts = _interval_sums(_flags(x, n, eps), Intervals(
+        np.array([p.lo for p in pairs], dtype=np.int64),
+        np.array([p.hi for p in pairs], dtype=np.int64))).tolist()
     coarse_size = {p.coarse_index: p.coarse_size for p in pairs}
     return [math.fsum(p.size * (count / p.size) for p, count in block) / coarse_size[r]
             for r, block in groupby(zip(pairs, counts), key=lambda pc: pc[0].coarse_index)]
@@ -136,9 +137,26 @@ def prefix_checkpoints(length: int, growth: float = 1.3) -> tuple[int, ...]:
     return tuple(ts)
 
 
+@dataclass(frozen=True, eq=False)
+class Intervals:
+    """Integer intervals (lo, hi], with the cuts that count flags over them.
+
+    `cuts` is the sorted union of 0 and every bound, with the positions of
+    lo and of hi in it, made on first use and kept for every later count.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    @cached_property
+    def cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cuts, at = np.unique(np.concatenate(([0], self.lo, self.hi)), return_inverse=True)
+        return cuts, at[1:1 + self.lo.size], at[1 + self.lo.size:]
+
+
 def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
-               growth: float = 1.3, need: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The integer intervals (lo, hi] of one axis inside 1..length, as two arrays.
+               growth: float = 1.3, need: int = 1) -> Intervals:
+    """The integer intervals (lo, hi] of one axis inside 1..length.
 
     The prefix axis has one interval (0, t] per log-spaced checkpoint t; the
     block axis has the blocks (k_{r-1}, k_r] that end inside the sample.
@@ -148,7 +166,7 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
         hi = np.asarray(prefix_checkpoints(length, growth))
         if hi.size < need:
             raise ValueError(f"sample has {hi.size} checkpoints, fewer than {need}")
-        return np.zeros_like(hi), hi
+        return Intervals(np.zeros_like(hi), hi)
     if axis == "block":
         if scheme is None:
             raise ValueError("block axis needs a scheme")
@@ -157,47 +175,51 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
             raise ValueError(f"{avail} blocks of the scheme fit the sample, fewer than {need}"
                              if avail else "no block of the scheme fits inside the sample")
         pts = np.asarray(scheme.points[: avail + 1])
-        return pts[:-1], pts[1:]
+        return Intervals(pts[:-1], pts[1:])
     raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
 
 
-def _interval_sums(flags: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _interval_sums(flags: np.ndarray, iv: Intervals) -> np.ndarray:
     """Integer counts of the set flags[m - 1] over lo < m <= hi, for each interval (lo, hi].
 
-    The sorted union of 0 and all bounds cuts 1..max(hi) into segments, and
-    np.add.reduceat counts each segment once. An interval's count is the
-    running segment count at hi minus the one at lo. The flags are cut at the
-    largest bound first, because reduceat's last segment runs to the end of
-    the array. reduceat first copies the flags into the count type, so counts
-    are int32 wherever that is exact: half the copy of int64, which some heap
-    layouts fault in afresh on every call. Exact for integers only; float
-    values are summed per interval with math.fsum instead.
+    The cuts split 1..max(hi) into segments, and np.add.reduceat counts each
+    segment once. An interval's count is the running segment count at hi
+    minus the one at lo. The flags are cut at the largest bound first,
+    because reduceat's last segment runs to the end of the array. reduceat
+    first copies the flags into the count type, so counts are int32 wherever
+    that is exact: half the copy of int64, which some heap layouts fault in
+    afresh on every call. Exact for integers only; float values are summed
+    per interval with math.fsum instead.
     """
-    cuts, at = np.unique(np.concatenate(([0], lo, hi)), return_inverse=True)
+    cuts, lo_at, hi_at = iv.cuts
     run = np.zeros(cuts.size, dtype=np.int64)
     count = np.int32 if cuts[-1] < 2**31 else np.int64
     np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=count), out=run[1:])
-    return run[at[1 + lo.size:]] - run[at[1:1 + lo.size]]
+    return run[hi_at] - run[lo_at]
 
 
-def _interval_fsums(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """math.fsum of values[m - 1] over lo < m <= hi, per interval: no other value cancels it."""
-    return np.array([math.fsum(values[a:b]) for a, b in zip(lo, hi)])
+def _interval_fsums(values: np.ndarray, iv: Intervals) -> np.ndarray:
+    """math.fsum of values[m - 1] over lo < m <= hi, per interval: no other value cancels it.
+
+    A memoryview of a float64 slice yields Python floats, with no copy and
+    no numpy scalar per element.
+    """
+    return np.array([math.fsum(memoryview(values[a:b]))
+                     for a, b in zip(iv.lo.tolist(), iv.hi.tolist())])
 
 
-def _first_hit(mask: np.ndarray, lo: np.ndarray,
-               hi: np.ndarray) -> tuple[int, list[int]] | None:
+def _first_hit(mask: np.ndarray, iv: Intervals) -> tuple[int, list[int]] | None:
     """The first interval (lo, hi] that holds a set flag mask[m - 1].
 
     Returns its position in lo/hi with its first 20 flagged indices m, or
     None when no interval holds one.
     """
-    hits = np.flatnonzero(_interval_sums(mask, lo, hi))
+    hits = np.flatnonzero(_interval_sums(mask, iv))
     if not hits.size:
         return None
     i = int(hits[0])
-    a = int(lo[i])
-    return i, [a + 1 + int(j) for j in np.flatnonzero(mask[a:hi[i]])[:20]]
+    a = int(iv.lo[i])
+    return i, [a + 1 + int(j) for j in np.flatnonzero(mask[a:iv.hi[i]])[:20]]
 
 
 def _curve_index(axis: str, hi: np.ndarray) -> np.ndarray:
@@ -219,9 +241,9 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     """
     n = check_witness(n)
     eps = _check_eps(eps)
-    lo, hi = _intervals(x.length, axis, scheme, growth)
-    vals = _interval_sums(deviations(x, n) >= eps, lo, hi) / (hi - lo)
-    return _curve(axis, eps, n, _curve_index(axis, hi), vals)
+    iv = _intervals(x.length, axis, scheme, growth)
+    vals = _interval_sums(deviations(x, n) >= eps, iv) / (iv.hi - iv.lo)
+    return _curve(axis, eps, n, _curve_index(axis, iv.hi), vals)
 
 
 def ac_sup_deviation(x: SeqSample, n: int) -> float:
@@ -234,14 +256,14 @@ def ac_theta_block_means(x: SeqSample, scheme: LacunaryScheme, n: int) -> list[f
 
     All blocks come from one deviation pass, each summed with math.fsum.
     """
-    lo, hi = _intervals(x.length, "block", scheme)
-    return (_interval_fsums(deviations(x, n), lo, hi) / (hi - lo)).tolist()
+    iv = _intervals(x.length, "block", scheme)
+    return (_interval_fsums(deviations(x, n), iv) / (iv.hi - iv.lo)).tolist()
 
 
 def ntheta_norm(x: SeqSample, scheme: LacunaryScheme) -> float:
     """max over available blocks of the block mean of |x_m| (truncation sup norm)."""
-    lo, hi = _intervals(x.length, "block", scheme)
-    return float((_interval_fsums(np.abs(x.values), lo, hi) / (hi - lo)).max())
+    iv = _intervals(x.length, "block", scheme)
+    return float((_interval_fsums(np.abs(x.values), iv) / (iv.hi - iv.lo)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -427,29 +449,29 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     densities are kept by n, so an axis that searches further reuses the
     passes made for the others; each axis still stops at its own smallest
     passing n. The full grid costs one more deviation pass, at the few n
-    where `_search` reads it, and is kept by n as well.
+    where `_search` reads it, and is kept by n as well. The intervals of all
+    axes are cut once, for every count of the call.
     """
     bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
               for axis in axes]
-    lo = np.concatenate([b[0] for b in bounds])
-    hi = np.concatenate([b[1] for b in bounds])
-    span = hi - lo
+    iv = Intervals(np.concatenate([b.lo for b in bounds]), np.concatenate([b.hi for b in bounds]))
+    span = iv.hi - iv.lo
 
     @cache
     def densities(n: int, grid: tuple[float, ...]) -> np.ndarray:
         dev = deviations(x, n)
-        return np.array([_interval_sums(dev >= e, lo, hi) / span for e in grid])
+        return np.array([_interval_sums(dev >= e, iv) / span for e in grid])
 
     verdicts, start = [], 0
-    for axis, (_, axis_hi) in zip(axes, bounds):
-        part = slice(start, start + axis_hi.size)
+    for axis, axis_iv in zip(axes, bounds):
+        part = slice(start, start + axis_iv.hi.size)
         start = part.stop
         outcome, witness, n, tails = _search(
             lambda k, part=part: densities(k, policy.grid[-1:])[0, part],
             lambda k, part=part: densities(k, policy.grid)[:, part], policy)
         verdicts.append(ConvergenceVerdict(
             outcome, witness, n, axis, tuple(zip(policy.grid, tails)), policy,
-            _curve_index(axis, axis_hi), densities(n, policy.grid)[:, part]))
+            _curve_index(axis, axis_iv.hi), densities(n, policy.grid)[:, part]))
     return verdicts
 
 
@@ -495,11 +517,11 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     Each block mean is the math.fsum of its deviations over h_r, as in
     `ac_theta_block_means`, so no large early value cancels a later block.
     """
-    lo, hi = _intervals(x.length, "block", scheme, need=policy.tail_window)
+    iv = _intervals(x.length, "block", scheme, need=policy.tail_window)
 
     @cache
     def means(k: int) -> np.ndarray:
-        return _interval_fsums(deviations(x, k), lo, hi) / (hi - lo)
+        return _interval_fsums(deviations(x, k), iv) / (iv.hi - iv.lo)
 
     outcome, witness, n, tails = _search(means, lambda k: [means(k)], policy)
     return MeanVerdict(outcome, witness, n, tails[0], policy)

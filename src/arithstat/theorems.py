@@ -8,9 +8,10 @@ flags of each index interval by interval, with one deviation pass per
 with denominators cleared in integer or Fraction arithmetic, so no floating
 tolerance is involved anywhere a mathematical identity is claimed.
 
-run_inclusion_experiment compares convergence verdicts across a family of
-sequences for one inclusion hypothesis. A scheme that does not meet the
-hypothesis causes a refusal (HypothesisNotMet), which is not a failure.
+evidence_table searches the verdicts of a family of sequences once, and
+run_inclusion_experiment compares them for one inclusion hypothesis. A scheme
+that does not meet the hypothesis causes a refusal (HypothesisNotMet), which
+is not a failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -38,11 +40,11 @@ from .kernel import (
 from .density import (
     DEFAULT_POLICY,
     ConvergenceVerdict,
+    Intervals,
     MeanVerdict,
     Outcome,
     VerdictPolicy,
     ac_theta_at_scale,
-    asc_theta_verdict,
     asc_verdicts,
     coarse_block_density_from_fine,
     density_curve,
@@ -72,6 +74,8 @@ __all__ = [
     "check_markov_step",
     "check_lac1_bound",
     "check_delta_transfer",
+    "Evidence",
+    "evidence_table",
     "SequenceComparison",
     "InclusionExperiment",
     "run_inclusion_experiment",
@@ -132,9 +136,9 @@ def _set_reports(name: str, instance: dict, mask: np.ndarray, scheme: LacunarySc
     first 20 flagged m of that interval).
     """
     reports = []
-    for axis, (lo, hi) in (("prefix", (np.array([0]), np.array([mask.size]))),
-                           ("block", _intervals(mask.size, "block", scheme))):
-        hit = _first_hit(mask, lo, hi)
+    for axis, iv in (("prefix", Intervals(np.array([0]), np.array([mask.size]))),
+                     ("block", _intervals(mask.size, "block", scheme))):
+        hit = _first_hit(mask, iv)
         reports.append(CheckReport(
             name, {**instance, "axis": axis, "scheme": _scheme_preview(scheme)}, hit is None,
             None if hit is None else witness(mask.size if axis == "prefix" else hit[0] + 1,
@@ -190,10 +194,10 @@ def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int,
 
     One report per block inside the sample, in order, all from one deviation pass.
     """
-    lo, hi = _intervals(x.length, "block", scheme, need=0)
+    iv = _intervals(x.length, "block", scheme, need=0)
     dev = deviations(x, n)
-    counts = _interval_sums(dev >= _check_eps(eps), lo, hi).tolist()
-    totals = _interval_fsums(dev, lo, hi).tolist()
+    counts = _interval_sums(dev >= _check_eps(eps), iv).tolist()
+    totals = _interval_fsums(dev, iv).tolist()
     return _block_reports("markov_step", x, scheme, n, eps, (
         None if eps * count <= total else {"lhs": eps * count, "rhs": total}
         for count, total in zip(counts, totals)))
@@ -208,9 +212,10 @@ def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int,
     of every (0, k_r] and block, from one flag pass, are compared; the
     reported densities are floats for the record only.
     """
-    lo, hi = _intervals(x.length, "block", scheme, need=0)
-    counts = _interval_sums(_flags(x, n, eps), np.concatenate((np.zeros_like(lo), lo)),
-                            np.concatenate((hi, hi))).tolist()
+    blocks = _intervals(x.length, "block", scheme, need=0)
+    lo, hi = blocks.lo, blocks.hi
+    counts = _interval_sums(_flags(x, n, eps), Intervals(
+        np.concatenate((np.zeros_like(lo), lo)), np.concatenate((hi, hi)))).tolist()
     return _block_reports("lac1_bound", x, scheme, n, eps, (
         None if pref >= blk else {
             "prefix_density": pref / k_r,
@@ -234,12 +239,12 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
         "coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine),
         "delta": float(delta),
     }
-    coarse_lo, coarse_hi = _intervals(x.length, "block", coarse)
+    blocks = _intervals(x.length, "block", coarse)
     pairs = _pairs_within(rel, x.length)
-    counts = _interval_sums(_flags(x, n, eps),
-                            np.concatenate((coarse_lo, [p.lo for p in pairs])),
-                            np.concatenate((coarse_hi, [p.hi for p in pairs]))).tolist()
-    coarse_counts, fine_counts = counts[:coarse_lo.size], counts[coarse_lo.size:]
+    counts = _interval_sums(_flags(x, n, eps), Intervals(
+        np.concatenate((blocks.lo, [p.lo for p in pairs])),
+        np.concatenate((blocks.hi, [p.hi for p in pairs])))).tolist()
+    coarse_counts, fine_counts = counts[:blocks.lo.size], counts[blocks.lo.size:]
     for p, fine_count in zip(pairs, fine_counts):
         lhs = Fraction(fine_count, p.size)
         rhs = Fraction(coarse_counts[p.coarse_index - 1], p.coarse_size) / delta
@@ -257,6 +262,36 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
 # ---------------------------------------------------------------------------
 
 HYPOTHESES = ("lac1", "lac2", "corollary", "ac_subset")
+
+
+@dataclass(frozen=True, eq=False)
+class Evidence:
+    """One family member's verdicts under one scheme, each searched once.
+
+    `asc` and `theta` are its `asc_verdicts` pair; `theta` equals
+    `asc_theta_verdict`, as both count the same integers over the same blocks.
+    `mean`, its `ac_theta_at_scale` verdict, is searched on first read: only
+    the ac_subset experiment reads it.
+    """
+
+    name: str
+    sample: SeqSample
+    scheme: LacunaryScheme
+    asc: ConvergenceVerdict
+    theta: ConvergenceVerdict
+
+    @cached_property
+    def mean(self) -> MeanVerdict:
+        return ac_theta_at_scale(self.sample, self.scheme, self.theta.policy)
+
+
+def evidence_table(family: Sequence[tuple[str, SeqSample]], scheme: LacunaryScheme,
+                   policy: VerdictPolicy = DEFAULT_POLICY) -> tuple[Evidence, ...]:
+    """The verdicts of every family member, for the experiments and batteries to share."""
+    if not family:
+        raise ValueError("family must not be empty")
+    return tuple(Evidence(name, x, scheme, *asc_verdicts(x, scheme, policy))
+                 for name, x in family)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,11 +343,9 @@ def _contradicts(left, right, both_ways: bool) -> bool:
     return hard
 
 
-def run_inclusion_experiment(hypothesis: str,
-                             family: Sequence[tuple[str, SeqSample]],
-                             scheme: LacunaryScheme,
-                             policy: VerdictPolicy = DEFAULT_POLICY) -> InclusionExperiment:
-    """Compare verdicts across a family for one inclusion hypothesis.
+def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence],
+                             scheme: LacunaryScheme) -> InclusionExperiment:
+    """Compare the verdicts of an evidence table for one inclusion hypothesis.
 
     hypotheses:
       lac1       plain convergence should transfer to the blockwise notion
@@ -323,6 +356,9 @@ def run_inclusion_experiment(hypothesis: str,
       ac_subset  blockwise-mean convergence should imply the blockwise
                  statistical verdict (no scheme gate).
 
+    The gates read `scheme` before any verdict, so a refusal costs no search;
+    a scheme that passes them must be the one the table was built under.
+
     A member supports the inclusion unless the left verdict is convergent
     while the right is NotConvergentAtScale (a hard contradiction; for
     `corollary` either direction counts). Inconclusive right verdicts are
@@ -330,8 +366,6 @@ def run_inclusion_experiment(hypothesis: str,
     """
     if hypothesis not in HYPOTHESES:
         raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    if not family:
-        raise ValueError("family must not be empty")
     lim_lo, lim_hi = q_ratio_stats(scheme)
     if hypothesis in ("lac1", "corollary") and lim_lo < MIN_LIMINF:
         raise HypothesisNotMet(
@@ -343,19 +377,19 @@ def run_inclusion_experiment(hypothesis: str,
             f"tail ratio maximum {lim_hi:.4f} exceeds {MAX_LIMSUP}; the scheme "
             "does not look boundedly lacunary"
         )
+    if any(e.scheme != scheme for e in table):
+        raise ValueError("the evidence table was built under another scheme")
 
     both_ways = hypothesis == "corollary"
     comparisons = []
-    for name, x in family:
+    for e in table:
         if hypothesis == "ac_subset":
-            left = ac_theta_at_scale(x, scheme, policy)
-            right = asc_theta_verdict(x, scheme, policy)
+            left, right = e.mean, e.theta
         else:
-            asc, theta = asc_verdicts(x, scheme, policy)
             # lac1 and corollary share the left-to-right orientation
-            left, right = (theta, asc) if hypothesis == "lac2" else (asc, theta)
+            left, right = (e.theta, e.asc) if hypothesis == "lac2" else (e.asc, e.theta)
         supports = not _contradicts(left, right, both_ways)
-        comparisons.append(SequenceComparison(name, left, right, supports))
+        comparisons.append(SequenceComparison(e.name, left, right, supports))
 
     left_conv = sum(c.left.outcome is Outcome.CONVERGENT for c in comparisons)
     both_conv = sum(

@@ -32,6 +32,7 @@ from arithstat.kernel import GcdPeriodic, SparseSpike, divisors, generate
 from arithstat.lacunary import make_scheme
 from arithstat.theorems import (
     HypothesisNotMet,
+    evidence_table,
     ramp_sample,
     run_inclusion_experiment,
     standard_family,
@@ -117,7 +118,8 @@ def test_lac1_per_block_bound():
 
 def test_corollary_equivalence_experiment(family):
     t0 = time.perf_counter()
-    exp = run_inclusion_experiment("corollary", family, GEOMETRIC_16)
+    exp = run_inclusion_experiment("corollary", evidence_table(family, GEOMETRIC_16),
+                                   GEOMETRIC_16)
     elapsed = time.perf_counter() - t0
     tails_ok = all(
         max(c.right.tail_of(e) for e in DEFAULT_GRID) <= 0.02
@@ -171,20 +173,21 @@ def test_uniform_limit_three_families():
     criterion("uniform-limit three-piece cover holds on 100% of blocks", ok)
 
 
-def test_negative_controls(family):
+def test_negative_controls():
     ramp = asc_verdict(ramp_sample(8193), VerdictPolicy(grid=(1.0,)))
     ramp_ok = ramp.outcome is Outcome.NOT_CONVERGENT
 
+    scheme = make_scheme([2**j for j in range(14)])
+    table = evidence_table(
+        standard_family(8193) + [("crossing", crossing_sequence(8193, hold=64))], scheme)
     try:
-        run_inclusion_experiment("lac1", family, make_scheme(r * r for r in range(1, 62)))
+        run_inclusion_experiment("lac1", table, make_scheme(r * r for r in range(1, 62)))
         refusal_ok = False
     except HypothesisNotMet:
         refusal_ok = True
 
     step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
-    scheme = make_scheme([2**j for j in range(14)])
-    fam = standard_family(8193) + [("crossing", crossing_sequence(8193, hold=64))]
-    battery = continuity_battery(step, fam, scheme)
+    battery = continuity_battery(step, table)
     battery_ok = battery.contradiction_count >= 1
 
     criterion(

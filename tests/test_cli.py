@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import arithstat
-from arithstat import cli
+from arithstat import cli, density, theorems
 from arithstat.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -382,6 +382,19 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_each_family_verdict_is_searched_once(self, tmp_path, monkeypatch):
+        # 13 verdict pairs (the family and the crossing control), 73 mapped
+        # samples of the seven batteries and the ramp control: 87 searches
+        calls = {"_density_verdicts": 0, "ac_theta_at_scale": 0}
+        for module, name in ((density, "_density_verdicts"), (theorems, "ac_theta_at_scale")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["verify", "--instances", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls["_density_verdicts"] <= 87
+        assert calls["ac_theta_at_scale"] == 12
 
     def test_reruns_are_byte_identical(self, tmp_path):
         reports = []

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from arithstat.kernel import GcdPeriodic, SparseSpike, divisors, generate
-from arithstat.density import Outcome, VerdictPolicy
+from arithstat.density import (
+    Outcome,
+    VerdictPolicy,
+    ac_theta_at_scale,
+    asc_theta_verdict,
+    asc_verdict,
+)
 from arithstat.lacunary import make_scheme
-from arithstat.theorems import HypothesisNotMet, ramp_sample, standard_family
+from arithstat.theorems import HypothesisNotMet, evidence_table, ramp_sample, standard_family
 from arithstat.continuity import (
     Affine,
     Clamp,
@@ -27,6 +33,8 @@ from arithstat.continuity import (
 
 SCHEME = make_scheme([2**j for j in range(14)])
 FAMILY = standard_family(8193)
+TABLE = evidence_table(FAMILY, SCHEME)
+CROSSING = evidence_table([("crossing", crossing_sequence(8193, level=1.0, hold=64))], SCHEME)
 STEP_AT_ONE = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
 
 
@@ -106,22 +114,21 @@ class TestApplyFn:
 
 class TestBattery:
     def test_affine_preserves_everything(self):
-        rep = continuity_battery(Affine(2.0, -1.0), FAMILY, SCHEME)
+        rep = continuity_battery(Affine(2.0, -1.0), TABLE)
         assert rep.contradiction_count == 0
         assert rep.support_count == 12
         assert rep.skipped_count == 0
         assert len(rep.entries) == 12
 
     def test_non_convergent_members_are_skipped(self):
-        fam = FAMILY + [("ramp", ramp_sample(8193))]
-        rep = continuity_battery(Clamp(-1.0, 5.0), fam, SCHEME)
+        table = TABLE + evidence_table([("ramp", ramp_sample(8193))], SCHEME)
+        rep = continuity_battery(Clamp(-1.0, 5.0), table)
         by_name = {e.name: e for e in rep.entries}
         assert by_name["ramp"].status == "skipped"
         assert rep.skipped_count == 1
 
     def test_step_contradicts_on_crossing(self):
-        crossing = crossing_sequence(8193, level=1.0, hold=64)
-        rep = continuity_battery(STEP_AT_ONE, FAMILY + [("crossing", crossing)], SCHEME)
+        rep = continuity_battery(STEP_AT_ONE, TABLE + CROSSING)
         assert rep.contradiction_count == 1
         by_name = {e.name: e for e in rep.entries}
         entry = by_name["crossing"]
@@ -130,26 +137,63 @@ class TestBattery:
         assert entry.mapped_outcome is Outcome.NOT_CONVERGENT
 
     def test_counts_sum_to_family_size(self):
-        rep = continuity_battery(Polynomial((0.0, 1.0, 0.125)), FAMILY, SCHEME)
+        rep = continuity_battery(Polynomial((0.0, 1.0, 0.125)), TABLE)
         total = (rep.support_count + rep.contradiction_count
                  + rep.inconclusive_count + rep.skipped_count)
         assert total == len(FAMILY)
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValueError, match="family"):
-            continuity_battery(Affine(1.0, 0.0), [], SCHEME)
+            evidence_table([], SCHEME)
+
+
+class TestEvidenceTable:
+    """The table's verdicts are those the experiments and batteries searched
+    for themselves before it, on the family and scheme of the corollary
+    acceptance test."""
+
+    SCHEME = make_scheme([2**j for j in range(17)])
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return evidence_table(standard_family(2**16 + 1), self.SCHEME)
+
+    def test_verdicts_equal_direct_searches(self, table):
+        for e in table:
+            direct = asc_theta_verdict(e.sample, self.SCHEME)
+            assert e.theta.to_dict() == direct.to_dict(), e.name
+            assert e.theta.curves() == direct.curves(), e.name
+            assert e.asc.to_dict() == asc_verdict(e.sample).to_dict(), e.name
+            assert e.mean.to_dict() == ac_theta_at_scale(e.sample, self.SCHEME).to_dict()
+
+    def test_battery_equals_one_that_searches_its_inputs(self, table):
+        f = Clamp(-1.0, 5.0)
+        rep = continuity_battery(f, table)
+        for e, entry in zip(table, rep.entries):
+            vin = asc_theta_verdict(e.sample, self.SCHEME)
+            vout = (asc_theta_verdict(map_sequence(f, e.sample), self.SCHEME)
+                    if vin.outcome is Outcome.CONVERGENT else None)
+            assert (entry.name, entry.input_outcome, entry.input_witness,
+                    entry.mapped_outcome) == (e.name, vin.outcome, vin.witness,
+                                              vout and vout.outcome)
 
 
 class TestClosure:
     def test_affine_and_clamp(self):
-        rep = closure_checks(Affine(2.0, -1.0), Clamp(-1.0, 5.0), FAMILY, SCHEME)
+        f, g = Affine(2.0, -1.0), Clamp(-1.0, 5.0)
+        rep = closure_checks(f, g, TABLE, continuity_battery(f, TABLE),
+                             continuity_battery(g, TABLE))
         assert rep.passed
         assert rep.witness is None
+        with pytest.raises(ValueError, match="base reports"):
+            closure_checks(g, f, TABLE, continuity_battery(f, TABLE),
+                           continuity_battery(g, TABLE))
 
     def test_vacuous_when_a_base_function_contradicts(self):
-        crossing = crossing_sequence(8193, level=1.0, hold=64)
-        fam = FAMILY + [("crossing", crossing)]
-        rep = closure_checks(STEP_AT_ONE, Affine(1.0, 0.0), fam, SCHEME)
+        table = TABLE + CROSSING
+        f, g = STEP_AT_ONE, Affine(1.0, 0.0)
+        rep = closure_checks(f, g, table, continuity_battery(f, table),
+                             continuity_battery(g, table))
         assert rep.passed
         assert rep.witness["f_contradictions"] == 1
 

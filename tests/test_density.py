@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithstat.kernel import (
@@ -36,6 +36,8 @@ from arithstat.density import (
     density_curve,
     ntheta_norm,
     prefix_checkpoints,
+    _interval_fsums,
+    _intervals,
 )
 from arithstat.lacunary import make_scheme, refinement_map
 from arithstat.theorems import check_lac1_bound, check_markov_step, ramp_sample
@@ -520,18 +522,21 @@ class TestFinestThreshold:
             assert [t for _, t in verdict.tail_densities] == pytest.approx(tails, abs=1e-12)
 
     def test_search_counts_the_full_grid_only_where_read(self, monkeypatch):
-        calls = {"deviations": 0, "_interval_sums": 0}
-        for name in calls:
-            def counted(*args, fn=getattr(density, name), name=name):
+        calls = {"deviations": 0, "_interval_sums": 0, "unique": 0}
+        for module, name in ((density, "deviations"), (density, "_interval_sums"),
+                             (np, "unique")):
+            def counted(*args, fn=getattr(module, name), name=name, **kwargs):
                 calls[name] += 1
-                return fn(*args)
-            monkeypatch.setattr(density, name, counted)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
         noise = np.random.default_rng(1).integers(-64, 65, size=4096) / 8.0
         verdicts = asc_verdicts(SeqSample(noise), make_scheme(2**j for j in range(13)))
         assert [v.witness for v in verdicts] == [None, None]
         n_max, grid = DEFAULT_POLICY.n_max, DEFAULT_POLICY.grid
         assert calls["deviations"] <= n_max + 3
         assert calls["_interval_sums"] <= n_max + 3 * len(grid)
+        # the intervals of both axes are cut once for every count of the call
+        assert calls["unique"] == 1
 
 
 class TestBlockCheckRecount:
@@ -542,6 +547,10 @@ class TestBlockCheckRecount:
     @given(case=recount_cases(), n=st.integers(1, 8),
            eps=st.sampled_from((0.05, 0.5, 1.0)), past=st.sampled_from(("", "last", "all")),
            extra=st.sets(st.integers(1, 500), max_size=30))
+    # x_1 = 1e17 ahead of small values: a running sum differenced at the
+    # block bounds would cancel them, each block's own fsum keeps them
+    @example(case=([1e17] + [0.125] * 63, [1, 2, 4, 8, 16, 32, 64]), n=2, eps=0.5,
+             past="", extra=set())
     @settings(max_examples=60, deadline=None)
     def test_every_block_matches_recount(self, case, n, eps, past, extra):
         vals, points = case
@@ -556,6 +565,11 @@ class TestBlockCheckRecount:
 
         def count(lo, hi):
             return sum(1 for m in range(lo + 1, hi + 1) if dev[m - 1] >= eps)
+
+        iv = _intervals(length, "block", scheme, need=0)
+        for values in (vals, dev):
+            assert _interval_fsums(np.array(values), iv).tolist() == [
+                math.fsum(values[lo:hi]) for lo, hi in blocks]
 
         markov = check_markov_step(x, scheme, n, eps)
         lac1 = check_lac1_bound(x, scheme, n, eps)

@@ -8,9 +8,11 @@ block checks came to count every block of an instance from one pass, and
 those of `verify-fault` before the scaling and sum checks came to return
 both axes from one flag mask and the injected fault to compare flag masks, and
 those of `analyze-grid` and `verify-grid` before the threshold grid became a
-field of the verdict policy. Any
-change to a verdict, a density, a scheme generator or a suite draw shows up
-as a changed digest.
+field of the verdict policy. Every `verify` digest predates the shared
+verdicts: it was recorded while each experiment and battery still searched
+its own input verdicts, before `verify` searched them once into one evidence
+table. Any change to a verdict, a density, a scheme generator or a suite
+draw shows up as a changed digest.
 """
 from __future__ import annotations
 

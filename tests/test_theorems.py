@@ -27,6 +27,7 @@ from arithstat.theorems import (
     check_markov_step,
     check_scalar_closure,
     check_sum_closure,
+    evidence_table,
     ramp_sample,
     random_sample,
     random_scheme,
@@ -254,10 +255,10 @@ class TestRefusalGates:
         tail = q[-max(1, len(q) // 2):]
         low, high = min(tail) < MIN_LIMINF, max(tail) > MAX_LIMSUP
         expected = {"lac1": low, "lac2": high, "corollary": low or high, "ac_subset": False}
+        table = evidence_table(self.FAMILY, scheme, self.POLICY)
         for hypothesis, refused in expected.items():
             try:
-                exp = run_inclusion_experiment(hypothesis, self.FAMILY, scheme,
-                                               policy=self.POLICY)
+                exp = run_inclusion_experiment(hypothesis, table, scheme)
             except HypothesisNotMet:
                 assert refused, (hypothesis, pts)
             else:
@@ -286,20 +287,21 @@ class TestStandardFamily:
 class TestInclusionExperiments:
     FAMILY = standard_family(8193)
     SCHEME = DYADIC_13
+    TABLE = evidence_table(FAMILY, SCHEME)
 
     @pytest.mark.parametrize("hypothesis", ["lac1", "lac2", "corollary", "ac_subset"])
     def test_standard_family_never_contradicts(self, hypothesis):
-        exp = run_inclusion_experiment(hypothesis, self.FAMILY, self.SCHEME)
+        exp = run_inclusion_experiment(hypothesis, self.TABLE, self.SCHEME)
         assert exp.summary["contradictions"] == 0
         assert exp.summary["total"] == 12
         assert exp.summary["supported"] == 12
 
     def test_corollary_is_fully_decisive_here(self):
-        exp = run_inclusion_experiment("corollary", self.FAMILY, self.SCHEME)
+        exp = run_inclusion_experiment("corollary", self.TABLE, self.SCHEME)
         assert exp.summary["both_convergent"] == 12
 
     def test_ac_subset_left_side_is_a_mean_verdict(self):
-        exp = run_inclusion_experiment("ac_subset", self.FAMILY, self.SCHEME)
+        exp = run_inclusion_experiment("ac_subset", self.TABLE, self.SCHEME)
         assert exp.summary["left_convergent"] >= 9
         left = exp.comparisons[0].left
         assert hasattr(left, "tail_mean")
@@ -313,19 +315,21 @@ class TestInclusionExperiments:
     def test_squares_scheme_refuses_lac1(self):
         squares = make_scheme(r * r for r in range(1, 62))
         with pytest.raises(HypothesisNotMet, match="ratio 1"):
-            run_inclusion_experiment("lac1", self.FAMILY, squares)
+            run_inclusion_experiment("lac1", self.TABLE, squares)
         with pytest.raises(HypothesisNotMet):
-            run_inclusion_experiment("corollary", self.FAMILY, squares)
+            run_inclusion_experiment("corollary", self.TABLE, squares)
 
     def test_wild_ratio_scheme_refuses_lac2(self):
         wild = make_scheme([1, 100, 10000, 10**6])
         with pytest.raises(HypothesisNotMet, match="boundedly"):
-            run_inclusion_experiment("lac2", self.FAMILY, wild)
+            run_inclusion_experiment("lac2", self.TABLE, wild)
         # the same scheme is fine for lac1's direction as far as the gate is
         # concerned (the verdicts would need more blocks, hence ValueError,
-        # not a refusal)
-        with pytest.raises(ValueError):
-            run_inclusion_experiment("lac1", self.FAMILY, wild)
+        # not a refusal), and a table of another scheme is refused after it
+        with pytest.raises(ValueError, match="blocks"):
+            evidence_table(self.FAMILY, wild)
+        with pytest.raises(ValueError, match="another scheme"):
+            run_inclusion_experiment("lac1", self.TABLE, wild)
 
     def test_refusal_margins_are_pinned(self):
         assert MIN_LIMINF == 1.05
@@ -333,10 +337,10 @@ class TestInclusionExperiments:
 
     def test_unknown_hypothesis(self):
         with pytest.raises(ValueError, match="hypothesis"):
-            run_inclusion_experiment("lac3", self.FAMILY, self.SCHEME)
+            run_inclusion_experiment("lac3", self.TABLE, self.SCHEME)
 
     def test_to_dict_shape(self):
-        exp = run_inclusion_experiment("lac1", self.FAMILY, self.SCHEME)
+        exp = run_inclusion_experiment("lac1", self.TABLE, self.SCHEME)
         d = exp.to_dict()
         assert d["hypothesis"] == "lac1"
         assert len(d["comparisons"]) == 12
