@@ -63,6 +63,7 @@ from .theorems import (
     check_sum_closure,
     evidence_table,
     ramp_sample,
+    ratio_gate,
     run_inclusion_experiment,
     run_property_suite,
     standard_family,
@@ -101,7 +102,7 @@ __all__ = [
     "CheckReport", "Evidence", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_scalar_closure", "check_sum_closure", "evidence_table", "ramp_sample",
-    "run_inclusion_experiment", "run_property_suite", "standard_family",
+    "ratio_gate", "run_inclusion_experiment", "run_property_suite", "standard_family",
     "Affine", "Clamp", "Composition", "ContinuityReport", "FnDifference",
     "FnSum", "Polynomial", "RealFunction", "Tabulated", "apply_fn",
     "closure_checks", "continuity_battery", "crossing_sequence", "describe_fn",

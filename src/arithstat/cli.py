@@ -16,7 +16,7 @@ import sys
 from collections import deque
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from .density import (
     check_grid,
     ntheta_norm,
     Outcome,
+    prefix_checkpoints,
 )
 from .lacunary import (
     LacunaryScheme,
@@ -62,6 +63,7 @@ from .theorems import (
     HypothesisNotMet,
     evidence_table,
     ramp_sample,
+    ratio_gate,
     run_inclusion_experiment,
     run_property_suite,
     standard_family,
@@ -120,12 +122,7 @@ class RunConfig:
     input: str | None
     schemes: tuple[str, ...]
     length: int | None
-    grid: tuple[float, ...]
-    n_max: int
-    tail_window: int
-    tol: float
-    tol_hi: float
-    growth: float
+    policy: VerdictPolicy
     out: str
     seed: int
     instances: int
@@ -134,17 +131,12 @@ class RunConfig:
     def to_dict(self) -> dict:
         # The output directory is deliberately not serialized: reports must be
         # byte-identical for the same computation regardless of where they land.
-        return {("eps_grid" if k == "grid" else k): list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items() if k != "out"}
-
-    def policy(self) -> VerdictPolicy:
-        try:
-            return VerdictPolicy(
-                tail_window=self.tail_window, tol=self.tol, tol_hi=self.tol_hi,
-                n_max=self.n_max, growth=self.growth, grid=self.grid,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        p = self.policy
+        return {"command": self.command, "input": self.input, "schemes": list(self.schemes),
+                "length": self.length, "eps_grid": list(p.grid), "n_max": p.n_max,
+                "tail_window": p.tail_window, "tol": p.tol, "tol_hi": p.tol_hi,
+                "growth": p.growth, "seed": self.seed, "instances": self.instances,
+                "inject_fault": self.inject_fault}
 
 
 def _parse_grid(text: str | None) -> tuple[float, ...]:
@@ -164,23 +156,22 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     n_max = getattr(args, "n_max", DEFAULT_POLICY.n_max)
     if n_max > MAX_N_MAX:
         raise ConfigError(f"--n-max must be at most {MAX_N_MAX}, got {n_max}")
+    try:  # a command without the policy flags keeps the defaults
+        policy = VerdictPolicy(grid=grid, **{k: getattr(args, k) for k in (
+            "tail_window", "tol", "tol_hi", "n_max", "growth") if hasattr(args, k)})
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     cfg = RunConfig(
         command=args.command,
         input=getattr(args, "input", None),
         schemes=tuple(getattr(args, "scheme", None) or ()),
         length=length,
-        grid=grid,
-        n_max=n_max,
-        tail_window=getattr(args, "tail_window", DEFAULT_POLICY.tail_window),
-        tol=getattr(args, "tol", DEFAULT_POLICY.tol),
-        tol_hi=getattr(args, "tol_hi", DEFAULT_POLICY.tol_hi),
-        growth=getattr(args, "growth", DEFAULT_POLICY.growth),
+        policy=policy,
         out=args.out,
         seed=getattr(args, "seed", 0),
         instances=getattr(args, "instances", 300),
         inject_fault=getattr(args, "inject_fault", None),
     )
-    cfg.policy()  # validate early
     if cfg.instances < 1:
         raise ConfigError("--instances must be >= 1")
     return cfg
@@ -386,12 +377,11 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_analyze(cfg: RunConfig) -> None:
     x = load_sequence(cfg.input, cfg.length)
     scheme = load_scheme(cfg.schemes[0]) if cfg.schemes else None
-    policy = cfg.policy()
     try:
         if scheme is None:
-            asc, theta = asc_verdict(x, policy), None
+            asc, theta = asc_verdict(x, cfg.policy), None
         else:
-            asc, theta = asc_verdicts(x, scheme, policy)
+            asc, theta = asc_verdicts(x, scheme, cfg.policy)
         curves = list(asc.curves())
         block_means = norm = None
         if theta is not None:
@@ -493,7 +483,7 @@ def _ok_line(label: str, ok: bool) -> bool:
 
 def cmd_verify(cfg: RunConfig) -> bool:
     length = cfg.length
-    policy = cfg.policy()
+    policy = cfg.policy
     ok = True
     try:
         # every verdict of the family, searched before the suites run, so a
@@ -502,9 +492,16 @@ def cmd_verify(cfg: RunConfig) -> bool:
         family = standard_family(length)
         table = evidence_table(family, scheme, policy)
         q_ratio_stats(scheme)
-        crossing = evidence_table(
-            [("crossing", crossing_sequence(length, level=1.0, hold=policy.n_max,
-                                            gap=min(policy.grid) / 2))], scheme, policy)
+        # each m <= n_max is its own anchor for the witness n = m; the ramp and
+        # step controls show their effect only on tails past those indices
+        start = prefix_checkpoints(length, policy.growth)[-policy.tail_window]
+        if min(start, scheme.points[-2]) < policy.n_max:
+            raise ConfigError(
+                f"--length {length} is too short for --n-max {policy.n_max}: the prefix tail "
+                f"starts at {start} and the last block at {scheme.points[-2]}, "
+                f"both must reach {policy.n_max}")
+        crossing = evidence_table([("crossing", crossing_sequence(
+            length, hold=policy.n_max, gap=policy.grid[-1] / 2))], scheme, policy)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -524,7 +521,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
     try:
         experiments = {}
         for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
-            exp = run_inclusion_experiment(hyp, table, scheme)
+            exp = run_inclusion_experiment(hyp, table)
             experiments[hyp] = exp.to_dict()
             good = exp.summary["contradictions"] == 0
             ok &= _ok_line(
@@ -533,15 +530,14 @@ def cmd_verify(cfg: RunConfig) -> bool:
             )
 
         continuity_report = {}
-        aff, clamp = Affine(2.0, -1.0), Clamp(-1.0, 5.0)
         base = []
-        for label, fn in (("affine", aff), ("clamp", clamp)):
+        for label, fn in (("affine", Affine(2.0, -1.0)), ("clamp", Clamp(-1.0, 5.0))):
             rep = continuity_battery(fn, table)
             base.append(rep)
             continuity_report[f"battery_{label}"] = rep.to_dict()
             good = rep.contradiction_count == 0 and rep.support_count > 0
             ok &= _ok_line(f"continuity battery {label}", good)
-        closure = closure_checks(aff, clamp, table, *base)
+        closure = closure_checks(*base, table)
         continuity_report["closure"] = closure.to_dict()
         ok &= _ok_line("continuity closure (sum, difference, composition)", closure.passed)
 
@@ -571,9 +567,8 @@ def cmd_verify(cfg: RunConfig) -> bool:
         good = ramp.outcome is Outcome.NOT_CONVERGENT
         ok &= _ok_line("control: ramp is NotConvergentAtScale", good)
 
-        square_scheme = make_scheme(r * r for r in range(1, 62))
         try:
-            run_inclusion_experiment("lac1", table, square_scheme)
+            ratio_gate("lac1", make_scheme(r * r for r in range(1, 62)))
             refused, note = False, "experiment unexpectedly ran"
         except HypothesisNotMet as e:
             refused, note = True, str(e)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .kernel import SeqSample, check_witness, gcd_anchors
 from .density import (
+    DEFAULT_POLICY,
     Outcome,
     _check_eps,
     _first_hit,
@@ -214,7 +215,7 @@ class ContinuityReport:
     contradicts. Members whose input verdict is not convergent are skipped.
     """
 
-    function: str
+    function: RealFunction
     entries: tuple[BatteryEntry, ...]
     support_count: int
     contradiction_count: int
@@ -223,7 +224,7 @@ class ContinuityReport:
 
     def to_dict(self) -> dict:
         return {
-            "function": self.function,
+            "function": describe_fn(self.function),
             "entries": [e.to_dict() for e in self.entries],
             "support": self.support_count,
             "contradictions": self.contradiction_count,
@@ -252,21 +253,20 @@ def continuity_battery(f: RealFunction, table: Sequence[Evidence]) -> Continuity
         else:
             status = "support"
         entries.append(BatteryEntry(e.name, vin.outcome, vin.witness, vout.outcome, status))
-    return ContinuityReport(describe_fn(f), tuple(entries), *(
+    return ContinuityReport(f, tuple(entries), *(
         sum(e.status == status for e in entries)
         for status in ("support", "contradiction", "inconclusive", "skipped")))
 
 
-def closure_checks(f: RealFunction, g: RealFunction, table: Sequence[Evidence],
-                   f_report: ContinuityReport, g_report: ContinuityReport) -> CheckReport:
+def closure_checks(f_report: ContinuityReport, g_report: ContinuityReport,
+                   table: Sequence[Evidence]) -> CheckReport:
     """Sum, difference, and composition must preserve what f and g preserve.
 
-    `f_report` and `g_report` are the batteries of f and g over the same
-    table. Vacuously passes when f or g already contradicts the battery on
-    its own (the closure statement assumes both behave).
+    `f_report` and `g_report` are the batteries of f and g over `table`.
+    Vacuously passes when f or g already contradicts the battery on its own
+    (the closure statement assumes both behave).
     """
-    if (f_report.function, g_report.function) != (describe_fn(f), describe_fn(g)):
-        raise ValueError("the base reports must be the batteries of f and g")
+    f, g = f_report.function, g_report.function
     instance = {"f": describe_fn(f), "g": describe_fn(g), "family_size": len(table)}
     if f_report.contradiction_count or g_report.contradiction_count:
         return CheckReport(
@@ -284,8 +284,9 @@ def closure_checks(f: RealFunction, g: RealFunction, table: Sequence[Evidence],
     return CheckReport("closure_checks", instance, not bad, {"contradictions": bad} if bad else None)
 
 
-def crossing_sequence(length: int, level: float = 1.0, hold: int = 64,
-                      gap: float = 0.005) -> SeqSample:
+def crossing_sequence(length: int, level: float = 1.0,
+                      hold: int = DEFAULT_POLICY.n_max,
+                      gap: float = DEFAULT_POLICY.grid[-1] / 2) -> SeqSample:
     """Convergent-at-scale sample whose values approach `level` from below.
 
     x_m = level for m <= hold and level - gap * (hold + 1) / m beyond, so

@@ -67,6 +67,46 @@ def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
+class VerdictPolicy:
+    """The finite-scale decision rule: every knob a verdict depends on.
+
+    tail_window: how many trailing curve points form the tail average.
+    tol: tail level at or below which a witness counts as converged.
+    tol_hi: tail level at or above which a curve counts as hard evidence
+        against convergence (together with a non-decreasing tail).
+    n_max: witness moduli 1..n_max are searched.
+    growth: checkpoint spacing for prefix curves.
+    grid: the thresholds epsilon that stand in for "every epsilon > 0" in
+        the density verdicts, normalised by `check_grid` to a strictly
+        decreasing tuple of floats. The block-mean verdict reads no grid.
+    """
+
+    tail_window: int = 8
+    tol: float = 0.02
+    tol_hi: float = 0.2
+    n_max: int = 64
+    growth: float = 1.3
+    grid: tuple[float, ...] = DEFAULT_GRID
+
+    def __post_init__(self) -> None:
+        if self.tail_window < 1:
+            raise ValueError("tail_window must be >= 1")
+        if not 0 < self.tol < self.tol_hi:
+            raise ValueError("need 0 < tol < tol_hi")
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
+        if not self.growth > 1:
+            raise ValueError("growth must exceed 1")
+        object.__setattr__(self, "grid", check_grid(self.grid))
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "grid": list(self.grid)}
+
+
+DEFAULT_POLICY = VerdictPolicy()
+
+
+@dataclass(frozen=True)
 class DensityCurve:
     """Ordered (index, density) points along one axis for one (n, epsilon)."""
 
@@ -112,7 +152,7 @@ def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: in
             for r, block in groupby(zip(pairs, counts), key=lambda pc: pc[0].coarse_index)]
 
 
-def prefix_checkpoints(length: int, growth: float = 1.3) -> tuple[int, ...]:
+def prefix_checkpoints(length: int, growth: float = DEFAULT_POLICY.growth) -> tuple[int, ...]:
     """Logarithmically spaced prefix lengths floor(growth^j), ending at `length`.
 
     Duplicates from the floor are dropped, and the full length is always the
@@ -155,7 +195,7 @@ class Intervals:
 
 
 def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
-               growth: float = 1.3, need: int = 1) -> Intervals:
+               growth: float = DEFAULT_POLICY.growth, need: int = 1) -> Intervals:
     """The integer intervals (lo, hi] of one axis inside 1..length.
 
     The prefix axis has one interval (0, t] per log-spaced checkpoint t; the
@@ -233,7 +273,7 @@ def _curve(axis: str, eps: float, n: int, index: np.ndarray, vals: np.ndarray) -
 
 def density_curve(x: SeqSample, n: int, eps: float, axis: str,
                   scheme: LacunaryScheme | None = None,
-                  growth: float = 1.3) -> DensityCurve:
+                  growth: float = DEFAULT_POLICY.growth) -> DensityCurve:
     """Density against t (prefix axis) or against r (block axis).
 
     The prefix axis samples the log-spaced checkpoints; the block axis has one
@@ -275,46 +315,6 @@ class Outcome(str, Enum):
     CONVERGENT = "ConvergentAtScale"
     NOT_CONVERGENT = "NotConvergentAtScale"
     INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class VerdictPolicy:
-    """The finite-scale decision rule: every knob a verdict depends on.
-
-    tail_window: how many trailing curve points form the tail average.
-    tol: tail level at or below which a witness counts as converged.
-    tol_hi: tail level at or above which a curve counts as hard evidence
-        against convergence (together with a non-decreasing tail).
-    n_max: witness moduli 1..n_max are searched.
-    growth: checkpoint spacing for prefix curves.
-    grid: the thresholds epsilon that stand in for "every epsilon > 0" in
-        the density verdicts, normalised by `check_grid` to a strictly
-        decreasing tuple of floats. The block-mean verdict reads no grid.
-    """
-
-    tail_window: int = 8
-    tol: float = 0.02
-    tol_hi: float = 0.2
-    n_max: int = 64
-    growth: float = 1.3
-    grid: tuple[float, ...] = DEFAULT_GRID
-
-    def __post_init__(self) -> None:
-        if self.tail_window < 1:
-            raise ValueError("tail_window must be >= 1")
-        if not 0 < self.tol < self.tol_hi:
-            raise ValueError("need 0 < tol < tol_hi")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-        if not self.growth > 1:
-            raise ValueError("growth must exceed 1")
-        object.__setattr__(self, "grid", check_grid(self.grid))
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "grid": list(self.grid)}
-
-
-DEFAULT_POLICY = VerdictPolicy()
 
 
 @dataclass(frozen=True)

@@ -139,9 +139,8 @@ def deviations(x: SeqSample, n: int) -> np.ndarray:
     """
     n = check_witness(n)
     v = x.values
-    p = min(n, v.size)
-    anchors = v[np.gcd(np.arange(1, p + 1), n) - 1]
-    rows, rest = divmod(v.size, p)
+    anchors = v[gcd_anchors(min(n, v.size), n)]  # one period
+    rows, rest = divmod(v.size, p := anchors.size)
     out = np.empty_like(v)
     full = rows * p
     np.subtract(v[:full].reshape(rows, p), anchors, out=out[:full].reshape(rows, p))

@@ -161,18 +161,12 @@ def first_blocks(points: Iterable[int], blocks: int) -> LacunaryScheme:
     return make_scheme(pts)
 
 
-def q_ratio_stats(scheme: LacunaryScheme, tail_fraction: float = 0.5) -> tuple[float, float]:
-    """Finite liminf/limsup surrogates: (min, max) of q_r over the trailing blocks.
-
-    `tail_fraction` selects the trailing share of ratios (at least one).
-    """
+def q_ratio_stats(scheme: LacunaryScheme) -> tuple[float, float]:
+    """Finite liminf/limsup surrogates: (min, max) of q_r over the trailing half of the ratios."""
     q = scheme.ratios
     if len(q) < 2:
         raise ValueError("ratio statistics need a scheme with at least two blocks")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError(f"tail_fraction must lie in (0, 1], got {tail_fraction!r}")
-    count = max(1, int(len(q) * tail_fraction))
-    tail = q[-count:]
+    tail = q[-(len(q) // 2):]
     return min(tail), max(tail)
 
 

@@ -10,8 +10,8 @@ tolerance is involved anywhere a mathematical identity is claimed.
 
 evidence_table searches the verdicts of a family of sequences once, and
 run_inclusion_experiment compares them for one inclusion hypothesis. A scheme
-that does not meet the hypothesis causes a refusal (HypothesisNotMet), which
-is not a failure.
+that does not meet the hypothesis (ratio_gate) causes a refusal
+(HypothesisNotMet), which is not a failure.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ __all__ = [
     "evidence_table",
     "SequenceComparison",
     "InclusionExperiment",
+    "ratio_gate",
     "run_inclusion_experiment",
     "standard_family",
     "ramp_sample",
@@ -135,15 +136,12 @@ def _set_reports(name: str, instance: dict, mask: np.ndarray, scheme: LacunarySc
     first block holding a flag. A failed report's witness is witness(at,
     first 20 flagged m of that interval).
     """
-    reports = []
-    for axis, iv in (("prefix", Intervals(np.array([0]), np.array([mask.size]))),
-                     ("block", _intervals(mask.size, "block", scheme))):
-        hit = _first_hit(mask, iv)
-        reports.append(CheckReport(
-            name, {**instance, "axis": axis, "scheme": _scheme_preview(scheme)}, hit is None,
-            None if hit is None else witness(mask.size if axis == "prefix" else hit[0] + 1,
-                                             hit[1])))
-    return reports
+    flagged = (np.flatnonzero(mask)[:20] + 1).tolist()
+    hit = _first_hit(mask, _intervals(mask.size, "block", scheme))
+    return [CheckReport(name, {**instance, "axis": axis, "scheme": _scheme_preview(scheme)},
+                        found is None, None if found is None else witness(*found))
+            for axis, found in (("prefix", (mask.size, flagged) if flagged else None),
+                                ("block", None if hit is None else (hit[0] + 1, hit[1])))]
 
 
 def check_scalar_closure(x: SeqSample, c: float, n: int, eps: float,
@@ -343,42 +341,43 @@ def _contradicts(left, right, both_ways: bool) -> bool:
     return hard
 
 
-def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence],
-                             scheme: LacunaryScheme) -> InclusionExperiment:
+def ratio_gate(hypothesis: str, scheme: LacunaryScheme) -> tuple[float, float]:
+    """The scheme's q_ratio_stats, or HypothesisNotMet if it fails the hypothesis's gate.
+
+    lac1 needs the tail minimum to reach MIN_LIMINF, lac2 the tail maximum to
+    stay at or below MAX_LIMSUP, corollary both; ac_subset has no gate.
+    """
+    if hypothesis not in HYPOTHESES:
+        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
+    lo, hi = q_ratio_stats(scheme)
+    if hypothesis in ("lac1", "corollary") and lo < MIN_LIMINF:
+        raise HypothesisNotMet(f"tail ratio minimum {lo:.4f} is below {MIN_LIMINF}; the "
+                               "scheme does not look bounded away from ratio 1")
+    if hypothesis in ("lac2", "corollary") and hi > MAX_LIMSUP:
+        raise HypothesisNotMet(f"tail ratio maximum {hi:.4f} exceeds {MAX_LIMSUP}; the "
+                               "scheme does not look boundedly lacunary")
+    return lo, hi
+
+
+def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence]) -> InclusionExperiment:
     """Compare the verdicts of an evidence table for one inclusion hypothesis.
 
     hypotheses:
-      lac1       plain convergence should transfer to the blockwise notion
-                 (needs the tail-min ratio estimate to reach MIN_LIMINF);
-      lac2       blockwise should transfer back to plain (needs the tail-max
-                 ratio estimate to stay at or below MAX_LIMSUP);
-      corollary  both directions at once (needs both gates);
+      lac1       plain convergence should transfer to the blockwise notion;
+      lac2       blockwise should transfer back to plain;
+      corollary  both directions at once;
       ac_subset  blockwise-mean convergence should imply the blockwise
-                 statistical verdict (no scheme gate).
+                 statistical verdict.
 
-    The gates read `scheme` before any verdict, so a refusal costs no search;
-    a scheme that passes them must be the one the table was built under.
+    `ratio_gate` checks the table's scheme before any verdict is read.
 
     A member supports the inclusion unless the left verdict is convergent
     while the right is NotConvergentAtScale (a hard contradiction; for
     `corollary` either direction counts). Inconclusive right verdicts are
     tallied but never contradict.
     """
-    if hypothesis not in HYPOTHESES:
-        raise ValueError(f"hypothesis must be one of {HYPOTHESES}, got {hypothesis!r}")
-    lim_lo, lim_hi = q_ratio_stats(scheme)
-    if hypothesis in ("lac1", "corollary") and lim_lo < MIN_LIMINF:
-        raise HypothesisNotMet(
-            f"tail ratio minimum {lim_lo:.4f} is below {MIN_LIMINF}; the scheme "
-            "does not look bounded away from ratio 1"
-        )
-    if hypothesis in ("lac2", "corollary") and lim_hi > MAX_LIMSUP:
-        raise HypothesisNotMet(
-            f"tail ratio maximum {lim_hi:.4f} exceeds {MAX_LIMSUP}; the scheme "
-            "does not look boundedly lacunary"
-        )
-    if any(e.scheme != scheme for e in table):
-        raise ValueError("the evidence table was built under another scheme")
+    scheme = table[0].scheme
+    lim_lo, lim_hi = ratio_gate(hypothesis, scheme)
 
     both_ways = hypothesis == "corollary"
     comparisons = []

@@ -34,6 +34,7 @@ from arithstat.theorems import (
     HypothesisNotMet,
     evidence_table,
     ramp_sample,
+    ratio_gate,
     run_inclusion_experiment,
     standard_family,
     delta_transfer_suite,
@@ -118,8 +119,7 @@ def test_lac1_per_block_bound():
 
 def test_corollary_equivalence_experiment(family):
     t0 = time.perf_counter()
-    exp = run_inclusion_experiment("corollary", evidence_table(family, GEOMETRIC_16),
-                                   GEOMETRIC_16)
+    exp = run_inclusion_experiment("corollary", evidence_table(family, GEOMETRIC_16))
     elapsed = time.perf_counter() - t0
     tails_ok = all(
         max(c.right.tail_of(e) for e in DEFAULT_GRID) <= 0.02
@@ -181,7 +181,7 @@ def test_negative_controls():
     table = evidence_table(
         standard_family(8193) + [("crossing", crossing_sequence(8193, hold=64))], scheme)
     try:
-        run_inclusion_experiment("lac1", table, make_scheme(r * r for r in range(1, 62)))
+        ratio_gate("lac1", make_scheme(r * r for r in range(1, 62)))
         refusal_ok = False
     except HypothesisNotMet:
         refusal_ok = True

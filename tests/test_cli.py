@@ -77,6 +77,13 @@ class TestAnalyze:
         assert config["eps_grid"] == [1.0, 0.5, 0.1, 0.05, 0.01]
         assert config["seed"] == 0  # analyze draws nothing; the key keeps the report shape
 
+    def test_config_holds_one_policy(self):
+        cfg = cli.config_from_args(cli.build_parser().parse_args(
+            ["verify", "--tol", "0.05", "--eps-grid", "1,0.5", "--out", "o"]))
+        assert cfg.policy == density.VerdictPolicy(tol=0.05, grid=(1.0, 0.5))
+        assert cli.config_from_args(cli.build_parser().parse_args(
+            ["scheme", "--scheme", "s.json", "--out", "o"])).policy == density.DEFAULT_POLICY
+
     def test_analyze_has_no_seed_flag(self, tmp_path, const_spec):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", const_spec, "--length", "1024", "--seed", "1",
@@ -373,6 +380,9 @@ class TestVerify:
         ("--length", "100"),  # 6 dyadic blocks, fewer than the tail window
         ("--length", "40", "--n-max", "64"),  # the crossing control holds 64 values
         ("--length", "3", "--tail-window", "1", "--n-max", "1"),  # one block: no ratio tail
+        ("--length", "257"),  # the prefix tail starts at 51, below --n-max 64
+        ("--length", "65", "--tail-window", "2"),  # prefix tail at 51, last block at 32
+        ("--length", "65", "--tail-window", "1"),  # the last block starts at 32
     ])
     def test_bad_family_config_is_refused_before_the_suites(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
@@ -382,6 +392,16 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_tails_must_reach_n_max(self, tmp_path, capsys):
+        rc = main(["verify", "--instances", "1", "--length", "257", "--out", str(tmp_path / "a")])
+        assert (rc, capsys.readouterr().err) == (EXIT_CONFIG, (
+            "config error: --length 257 is too short for --n-max 64: the prefix tail "
+            "starts at 51 and the last block at 128, both must reach 64\n"))
+        # 513 values: the prefix tail starts at 86 and the last block at 256
+        rc = main(["verify", "--instances", "1", "--length", "513", "--out", str(tmp_path / "b")])
+        assert rc == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_each_family_verdict_is_searched_once(self, tmp_path, monkeypatch):
         # 13 verdict pairs (the family and the crossing control), 73 mapped

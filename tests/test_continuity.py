@@ -181,19 +181,18 @@ class TestEvidenceTable:
 class TestClosure:
     def test_affine_and_clamp(self):
         f, g = Affine(2.0, -1.0), Clamp(-1.0, 5.0)
-        rep = closure_checks(f, g, TABLE, continuity_battery(f, TABLE),
-                             continuity_battery(g, TABLE))
+        f_report, g_report = continuity_battery(f, TABLE), continuity_battery(g, TABLE)
+        # a battery carries its descriptor and reports it by description
+        assert (f_report.function, f_report.to_dict()["function"]) == (f, "affine(2, -1)")
+        rep = closure_checks(f_report, g_report, TABLE)
         assert rep.passed
         assert rep.witness is None
-        with pytest.raises(ValueError, match="base reports"):
-            closure_checks(g, f, TABLE, continuity_battery(f, TABLE),
-                           continuity_battery(g, TABLE))
+        assert rep.instance == {"f": describe_fn(f), "g": describe_fn(g), "family_size": 12}
 
     def test_vacuous_when_a_base_function_contradicts(self):
         table = TABLE + CROSSING
         f, g = STEP_AT_ONE, Affine(1.0, 0.0)
-        rep = closure_checks(f, g, table, continuity_battery(f, table),
-                             continuity_battery(g, table))
+        rep = closure_checks(continuity_battery(f, table), continuity_battery(g, table), table)
         assert rep.passed
         assert rep.witness["f_contradictions"] == 1
 

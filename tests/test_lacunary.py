@@ -79,15 +79,12 @@ class TestQRatioStats:
     def test_factorial_tail(self):
         s = make_scheme([1, 2, 6, 24, 120])  # ratios 2, 3, 4, 5
         assert q_ratio_stats(s) == (4.0, 5.0)
-        assert q_ratio_stats(s, tail_fraction=1.0) == (2.0, 5.0)
+        # an odd count of ratios rounds the trailing half down: 5, 6 of 2..6
+        assert q_ratio_stats(make_scheme([1, 2, 6, 24, 120, 720])) == (5.0, 6.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two blocks"):
             q_ratio_stats(make_scheme([1, 5]))
-        with pytest.raises(ValueError, match="tail_fraction"):
-            q_ratio_stats(DYADIC, tail_fraction=0.0)
-        with pytest.raises(ValueError, match="tail_fraction"):
-            q_ratio_stats(DYADIC, tail_fraction=1.5)
 
 
 class TestRefinement:

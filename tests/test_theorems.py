@@ -31,6 +31,7 @@ from arithstat.theorems import (
     ramp_sample,
     random_sample,
     random_scheme,
+    ratio_gate,
     run_inclusion_experiment,
     run_property_suite,
     standard_family,
@@ -258,12 +259,14 @@ class TestRefusalGates:
         table = evidence_table(self.FAMILY, scheme, self.POLICY)
         for hypothesis, refused in expected.items():
             try:
-                exp = run_inclusion_experiment(hypothesis, table, scheme)
+                ratio_gate(hypothesis, scheme)
             except HypothesisNotMet:
                 assert refused, (hypothesis, pts)
+                with pytest.raises(HypothesisNotMet):
+                    run_inclusion_experiment(hypothesis, table)
             else:
                 assert not refused, (hypothesis, pts)
-                assert exp.summary["total"] == 1
+                assert run_inclusion_experiment(hypothesis, table).summary["total"] == 1
 
 
 class TestStandardFamily:
@@ -291,17 +294,17 @@ class TestInclusionExperiments:
 
     @pytest.mark.parametrize("hypothesis", ["lac1", "lac2", "corollary", "ac_subset"])
     def test_standard_family_never_contradicts(self, hypothesis):
-        exp = run_inclusion_experiment(hypothesis, self.TABLE, self.SCHEME)
+        exp = run_inclusion_experiment(hypothesis, self.TABLE)
         assert exp.summary["contradictions"] == 0
         assert exp.summary["total"] == 12
         assert exp.summary["supported"] == 12
 
     def test_corollary_is_fully_decisive_here(self):
-        exp = run_inclusion_experiment("corollary", self.TABLE, self.SCHEME)
+        exp = run_inclusion_experiment("corollary", self.TABLE)
         assert exp.summary["both_convergent"] == 12
 
     def test_ac_subset_left_side_is_a_mean_verdict(self):
-        exp = run_inclusion_experiment("ac_subset", self.TABLE, self.SCHEME)
+        exp = run_inclusion_experiment("ac_subset", self.TABLE)
         assert exp.summary["left_convergent"] >= 9
         left = exp.comparisons[0].left
         assert hasattr(left, "tail_mean")
@@ -315,21 +318,26 @@ class TestInclusionExperiments:
     def test_squares_scheme_refuses_lac1(self):
         squares = make_scheme(r * r for r in range(1, 62))
         with pytest.raises(HypothesisNotMet, match="ratio 1"):
-            run_inclusion_experiment("lac1", self.TABLE, squares)
+            ratio_gate("lac1", squares)
         with pytest.raises(HypothesisNotMet):
-            run_inclusion_experiment("corollary", self.TABLE, squares)
+            ratio_gate("corollary", squares)
+        assert ratio_gate("lac2", squares) == ratio_gate("ac_subset", squares)
 
     def test_wild_ratio_scheme_refuses_lac2(self):
         wild = make_scheme([1, 100, 10000, 10**6])
         with pytest.raises(HypothesisNotMet, match="boundedly"):
-            run_inclusion_experiment("lac2", self.TABLE, wild)
+            ratio_gate("lac2", wild)
         # the same scheme is fine for lac1's direction as far as the gate is
         # concerned (the verdicts would need more blocks, hence ValueError,
-        # not a refusal), and a table of another scheme is refused after it
+        # not a refusal)
+        assert ratio_gate("lac1", wild) == (100.0, 100.0)
         with pytest.raises(ValueError, match="blocks"):
             evidence_table(self.FAMILY, wild)
-        with pytest.raises(ValueError, match="another scheme"):
-            run_inclusion_experiment("lac1", self.TABLE, wild)
+
+    def test_experiment_reads_the_scheme_of_its_table(self):
+        exp = run_inclusion_experiment("lac1", self.TABLE)
+        assert exp.scheme_points == self.SCHEME.points
+        assert (exp.liminf_estimate, exp.limsup_estimate) == ratio_gate("lac1", self.SCHEME)
 
     def test_refusal_margins_are_pinned(self):
         assert MIN_LIMINF == 1.05
@@ -337,10 +345,12 @@ class TestInclusionExperiments:
 
     def test_unknown_hypothesis(self):
         with pytest.raises(ValueError, match="hypothesis"):
-            run_inclusion_experiment("lac3", self.TABLE, self.SCHEME)
+            run_inclusion_experiment("lac3", self.TABLE)
+        with pytest.raises(ValueError, match="hypothesis"):
+            ratio_gate("lac3", self.SCHEME)
 
     def test_to_dict_shape(self):
-        exp = run_inclusion_experiment("lac1", self.TABLE, self.SCHEME)
+        exp = run_inclusion_experiment("lac1", self.TABLE)
         d = exp.to_dict()
         assert d["hypothesis"] == "lac1"
         assert len(d["comparisons"]) == 12
