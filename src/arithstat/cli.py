@@ -505,9 +505,73 @@ def cmd_verify(cfg: RunConfig) -> bool:
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
+    experiments, continuity_report, controls, checks = {}, {}, {}, []
+
+    def family_checks() -> None:  # in this process, while the suites run in workers
+        try:
+            for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
+                exp = run_inclusion_experiment(hyp, table)
+                experiments[hyp] = exp.to_dict()
+                good = exp.summary["contradictions"] == 0
+                supported = f"{exp.summary['supported']}/{exp.summary['total']} supported"
+                checks.append((f"inclusion {hyp} ({supported})", good))
+
+            base = []
+            for label, fn in (("affine", Affine(2.0, -1.0)), ("clamp", Clamp(-1.0, 5.0))):
+                rep = continuity_battery(fn, table)
+                base.append(rep)
+                continuity_report[f"battery_{label}"] = rep.to_dict()
+                good = rep.contradiction_count == 0 and rep.support_count > 0
+                checks.append((f"continuity battery {label}", good))
+            closure = closure_checks(*base, table)
+            continuity_report["closure"] = closure.to_dict()
+            checks.append(("continuity closure (sum, difference, composition)", closure.passed))
+
+            probe = tuple(np.linspace(-10.0, 10.0, 41))
+            g6 = dict(family)["gcdper_6"]
+            uniform_cases = [
+                ("shifts_to_identity",
+                 [Affine(1.0, 1.0 / m) for m in range(1, 33)], Affine(1.0, 0.0),
+                 g6, 6),
+                ("clamped_shifts",
+                 [Composition(Clamp(0.0, 1.0), Affine(1.0, 1.0 / m)) for m in range(1, 33)],
+                 Clamp(0.0, 1.0), dict(family)["spikes_pow2"], 1),
+                ("slopes_to_identity",
+                 [Affine(1.0 + 1.0 / m, 0.0) for m in range(1, 65)], Affine(1.0, 0.0),
+                 dict(family)["gcdper_5"], 5),
+            ]
+            # eps = 0.75 keeps eps/3 exactly representable, so the three-piece
+            # cover comparison has no rounding slack.
+            for label, f_list, f, x, n in uniform_cases:
+                rep = uniform_limit_check(f_list, f, x, scheme, n, 0.75, probe)
+                continuity_report[f"uniform_{label}"] = rep.to_dict()
+                checks.append((f"uniform limit cover ({label})", rep.passed))
+
+            ramp = asc_verdict(ramp_sample(length), policy)
+            controls["ramp_not_convergent"] = ramp.to_dict()
+            good = ramp.outcome is Outcome.NOT_CONVERGENT
+            checks.append(("control: ramp is NotConvergentAtScale", good))
+
+            try:
+                ratio_gate("lac1", make_scheme(r * r for r in range(1, 62)))
+                refused, note = False, "experiment unexpectedly ran"
+            except HypothesisNotMet as e:
+                refused, note = True, str(e)
+            controls["lac1_refusal"] = {"refused": refused, "note": note}
+            checks.append(("control: square scheme refuses the lac1 experiment", refused))
+
+            step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
+            rep = continuity_battery(step, table + crossing)
+            controls["step_battery"] = rep.to_dict()
+            good = rep.contradiction_count >= 1
+            checks.append(("control: step function produces a contradiction", good))
+        except (HypothesisNotMet, ValueError) as e:
+            raise ConfigError(str(e)) from None
+
     suites = run_property_suite(
         cfg.seed, instances=cfg.instances,
         refinement_instances=max(50, cfg.instances // 2),
+        meanwhile=family_checks,
     )
     if cfg.inject_fault == "scaling":
         rep = _injected_scaling_report()
@@ -518,70 +582,8 @@ def cmd_verify(cfg: RunConfig) -> bool:
         suites_report[name] = res.to_dict()
         ok &= _ok_line(f"property {name} ({res.instances} instances)", res.passed)
 
-    try:
-        experiments = {}
-        for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
-            exp = run_inclusion_experiment(hyp, table)
-            experiments[hyp] = exp.to_dict()
-            good = exp.summary["contradictions"] == 0
-            ok &= _ok_line(
-                f"inclusion {hyp} ({exp.summary['supported']}/{exp.summary['total']} supported)",
-                good,
-            )
-
-        continuity_report = {}
-        base = []
-        for label, fn in (("affine", Affine(2.0, -1.0)), ("clamp", Clamp(-1.0, 5.0))):
-            rep = continuity_battery(fn, table)
-            base.append(rep)
-            continuity_report[f"battery_{label}"] = rep.to_dict()
-            good = rep.contradiction_count == 0 and rep.support_count > 0
-            ok &= _ok_line(f"continuity battery {label}", good)
-        closure = closure_checks(*base, table)
-        continuity_report["closure"] = closure.to_dict()
-        ok &= _ok_line("continuity closure (sum, difference, composition)", closure.passed)
-
-        probe = tuple(np.linspace(-10.0, 10.0, 41))
-        g6 = dict(family)["gcdper_6"]
-        uniform_cases = [
-            ("shifts_to_identity",
-             [Affine(1.0, 1.0 / m) for m in range(1, 33)], Affine(1.0, 0.0),
-             g6, 6),
-            ("clamped_shifts",
-             [Composition(Clamp(0.0, 1.0), Affine(1.0, 1.0 / m)) for m in range(1, 33)],
-             Clamp(0.0, 1.0), dict(family)["spikes_pow2"], 1),
-            ("slopes_to_identity",
-             [Affine(1.0 + 1.0 / m, 0.0) for m in range(1, 65)], Affine(1.0, 0.0),
-             dict(family)["gcdper_5"], 5),
-        ]
-        # eps = 0.75 keeps eps/3 exactly representable, so the three-piece
-        # cover comparison has no rounding slack.
-        for label, f_list, f, x, n in uniform_cases:
-            rep = uniform_limit_check(f_list, f, x, scheme, n, 0.75, probe)
-            continuity_report[f"uniform_{label}"] = rep.to_dict()
-            ok &= _ok_line(f"uniform limit cover ({label})", rep.passed)
-
-        controls = {}
-        ramp = asc_verdict(ramp_sample(length), policy)
-        controls["ramp_not_convergent"] = ramp.to_dict()
-        good = ramp.outcome is Outcome.NOT_CONVERGENT
-        ok &= _ok_line("control: ramp is NotConvergentAtScale", good)
-
-        try:
-            ratio_gate("lac1", make_scheme(r * r for r in range(1, 62)))
-            refused, note = False, "experiment unexpectedly ran"
-        except HypothesisNotMet as e:
-            refused, note = True, str(e)
-        controls["lac1_refusal"] = {"refused": refused, "note": note}
-        ok &= _ok_line("control: square scheme refuses the lac1 experiment", refused)
-
-        step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
-        rep = continuity_battery(step, table + crossing)
-        controls["step_battery"] = rep.to_dict()
-        good = rep.contradiction_count >= 1
-        ok &= _ok_line("control: step function produces a contradiction", good)
-    except (HypothesisNotMet, ValueError) as e:
-        raise ConfigError(str(e)) from None
+    for label, good in checks:
+        ok &= _ok_line(label, good)
 
     report = {
         "schema": 1,

@@ -194,6 +194,15 @@ class Intervals:
         return cuts, at[1:1 + self.lo.size], at[1 + self.lo.size:]
 
 
+class _Blocks(Intervals):
+    """Consecutive blocks from k_0 >= 1: the cuts 0, k_0, ..., k_R need no sort."""
+
+    @cached_property
+    def cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        at = np.arange(1, self.lo.size + 1)  # lo sits at 1..R and hi at 2..R+1
+        return np.concatenate(([0], self.lo[:1], self.hi)), at, at + 1
+
+
 def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
                growth: float = DEFAULT_POLICY.growth, need: int = 1) -> Intervals:
     """The integer intervals (lo, hi] of one axis inside 1..length.
@@ -215,7 +224,7 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
             raise ValueError(f"{avail} blocks of the scheme fit the sample, fewer than {need}"
                              if avail else "no block of the scheme fits inside the sample")
         pts = np.asarray(scheme.points[: avail + 1])
-        return Intervals(pts[:-1], pts[1:])
+        return _Blocks(pts[:-1], pts[1:])
     raise ValueError(f"axis must be 'prefix' or 'block', got {axis!r}")
 
 

@@ -17,6 +17,8 @@ that does not meet the hypothesis (ratio_gate) causes a refusal
 from __future__ import annotations
 
 import math
+import os
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -178,9 +180,10 @@ def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
 def _block_reports(name: str, x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
                    witnesses: Iterable[dict | None]) -> list[CheckReport]:
     """One report per block r = 1, 2, ..., passed exactly when its witness is None."""
+    preview = _scheme_preview(scheme)
     return [
         CheckReport(name, {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
-                           "r": r, "scheme": _scheme_preview(scheme)},
+                           "r": r, "scheme": preview},
                     witness is None, witness)
         for r, witness in enumerate(witnesses, 1)
     ]
@@ -228,7 +231,7 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
     """Fine block density <= (1/delta) * coarse block density, for every fine block.
 
     delta is the minimum length ratio of the refinement map; the inequality is
-    evaluated in exact Fraction arithmetic on the counts.
+    evaluated exactly on the counts, with its denominators cleared in integers.
     """
     rel = refinement_map(coarse, fine)
     delta = rel.delta_fraction()
@@ -244,9 +247,11 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
         np.concatenate((blocks.hi, [p.hi for p in pairs])))).tolist()
     coarse_counts, fine_counts = counts[:blocks.lo.size], counts[blocks.lo.size:]
     for p, fine_count in zip(pairs, fine_counts):
-        lhs = Fraction(fine_count, p.size)
-        rhs = Fraction(coarse_counts[p.coarse_index - 1], p.coarse_size) / delta
-        if lhs > rhs:
+        coarse_count = coarse_counts[p.coarse_index - 1]
+        if (fine_count * p.coarse_size * delta.numerator
+                > coarse_count * p.size * delta.denominator):
+            lhs = Fraction(fine_count, p.size)
+            rhs = Fraction(coarse_count, p.coarse_size) / delta
             return CheckReport(
                 "delta_transfer", instance, False,
                 {"coarse_block": p.coarse_index, "fine_block": p.fine_index,
@@ -690,18 +695,42 @@ def delta_transfer_suite(seed: int, instances: int = 500,
     return result
 
 
+#: The randomized suites in report order; suite i runs under seed + i.
+SUITES = ("scalar_closure", "sum_closure", "markov_step", "refinement_aggregation",
+          "delta_transfer", "lac1_bound")
+
+
+def _run_named_suite(name: str, *args) -> SuiteResult:
+    """`<name>_suite(*args)`, looked up where it runs: a worker gets only the name."""
+    return globals()[f"{name}_suite"](*args)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def run_property_suite(seed: int = 0, *, instances: int = 1000,
-                       refinement_instances: int = 500,
-                       max_length: int = 10_000) -> dict[str, SuiteResult]:
-    """All five randomized suites with derived per-suite seeds."""
-    return {
-        "scalar_closure": scalar_closure_suite(seed, instances, max_length),
-        "sum_closure": sum_closure_suite(seed + 1, instances, max_length),
-        "markov_step": markov_step_suite(seed + 2, instances, max_length),
-        "refinement_aggregation": refinement_aggregation_suite(
-            seed + 3, refinement_instances, max_length),
-        "delta_transfer": delta_transfer_suite(
-            seed + 4, refinement_instances, max_length),
-        "lac1_bound": lac1_bound_suite(
-            seed + 5, refinement_instances, max_length),
-    }
+                       refinement_instances: int = 500, max_length: int = 10_000,
+                       meanwhile: Callable[[], object] = lambda: None) -> dict[str, SuiteResult]:
+    """All six randomized suites, by name in SUITES order, while `meanwhile()` runs here.
+
+    They run in forked workers, one per suite up to the usable CPUs, that keep this
+    process's imports and patches; with one CPU or no fork, here after `meanwhile()`.
+    Each has its own rng, so where it ran does not change its result. No worker
+    outlives the call, and an error cancels the suites not yet started."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(SUITES), _usable_cpus())
+    with ExitStack() as stack:
+        suite_map = map
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            stack.callback(pool.shutdown, cancel_futures=True)
+            suite_map = pool.map
+        results = suite_map(_run_named_suite, SUITES, range(seed, seed + 6),
+                            (instances,) * 3 + (refinement_instances,) * 3, [max_length] * 6)
+        meanwhile()
+        return dict(zip(SUITES, results))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -25,6 +26,7 @@ from arithstat.cli import (
 )
 from arithstat.kernel import SparseSpike, generate
 from arithstat.lacunary import MAX_BLOCKS
+from arithstat.theorems import SuiteResult
 
 DYADIC_POINTS = {"points": [1, 2, 4, 8, 16]}
 GEOMETRIC_10 = {"geometric": {"ratio": 2.0, "count": 10, "start": 1}}
@@ -393,6 +395,53 @@ class TestVerify:
         assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.fixture
+    def two_quick_workers(self, monkeypatch):
+        """Two suite workers, and six suites that return at once: these tests are
+        about the workers, not about what the suites check."""
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        for name in theorems.SUITES:
+            monkeypatch.setattr(theorems, f"{name}_suite", lambda seed, instances, max_length,
+                                name=name: SuiteResult(name, instances))
+
+    @pytest.mark.parametrize("flags, code", [
+        ((), EXIT_OK),
+        (("--inject-fault", "scaling"), EXIT_VERIFY_FAILED),
+    ])
+    def test_no_worker_outlives_main(self, tmp_path, monkeypatch, two_quick_workers,
+                                     flags, code):
+        workers_meanwhile = []
+
+        def experiment(*args, fn=cli.run_inclusion_experiment):
+            workers_meanwhile.append(len(multiprocessing.active_children()))
+            return fn(*args)
+
+        monkeypatch.setattr(cli, "run_inclusion_experiment", experiment)
+        rc = main(["verify", "--length", "513", *flags, "--out", str(tmp_path / "out")])
+        assert rc == code
+        assert workers_meanwhile[0] == 2  # the family checks run beside the suites
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failing_suite(self, tmp_path, monkeypatch, two_quick_workers):
+        def broken(seed, instances, max_length):
+            raise RuntimeError(f"suite broke at seed {seed}")
+
+        monkeypatch.setattr(theorems, "delta_transfer_suite", broken)
+        with pytest.raises(RuntimeError, match="suite broke at seed 4"):
+            main(["verify", "--length", "513", "--out", str(tmp_path / "out")])
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "out").exists()
+
+    def test_config_error_beside_the_suites_prints_no_suite_line(self, tmp_path, capsys,
+                                                                  monkeypatch, two_quick_workers):
+        def refused(hypothesis, table):
+            raise theorems.HypothesisNotMet(f"{hypothesis} refused")
+
+        monkeypatch.setattr(cli, "run_inclusion_experiment", refused)
+        rc = main(["verify", "--length", "513", "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr()) == (EXIT_CONFIG, ("", "config error: lac1 refused\n"))
+        assert multiprocessing.active_children() == []
+
     def test_tails_must_reach_n_max(self, tmp_path, capsys):
         rc = main(["verify", "--instances", "1", "--length", "257", "--out", str(tmp_path / "a")])
         assert (rc, capsys.readouterr().err) == (EXIT_CONFIG, (
@@ -459,6 +508,16 @@ def run_declared_entry_point(*args):
 
 
 class TestConsoleScript:
+    def test_import_leaves_the_worker_modules_unloaded(self):
+        # setup time: only `verify` imports what its suite workers need
+        package_root = str(Path(arithstat.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, arithstat.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures') if m in sys.modules))"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": package_root})
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
     def test_scheme_smoke(self, tmp_path):
         path = write_json(tmp_path / "s.json", DYADIC_POINTS)
         proc = run_declared_entry_point(

@@ -12,7 +12,8 @@ field of the verdict policy. Every `verify` digest predates the shared
 verdicts: it was recorded while each experiment and battery still searched
 its own input verdicts, before `verify` searched them once into one evidence
 table. Any change to a verdict, a density, a scheme generator or a suite
-draw shows up as a changed digest.
+draw shows up as a changed digest. The `verify` digests hold whether the
+suites run in this process or in worker processes.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import hashlib
 import json
 from pathlib import Path
 
+from arithstat import theorems
 from arithstat.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 
 INPUTS = {
@@ -101,15 +103,29 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # relative paths keep the embedded config stable
+def digests_of(runs: list[str], capsys) -> dict[str, str]:
+    """Digest of the stdout and each output file of every named run, in the cwd."""
     for name, obj in INPUTS.items():
         Path(name).write_text(json.dumps(obj))
     Path("noise.csv").write_text(noise_lines(3000))
     digests = {}
-    for out, argv in RUNS.items():
-        assert main([*argv, "--out", out]) == EXIT.get(out, EXIT_OK)
+    for out in runs:
+        assert main([*RUNS[out], "--out", out]) == EXIT.get(out, EXIT_OK)
         digests[f"{out}/stdout"] = sha256(capsys.readouterr().out.encode())
         for path in sorted(Path(out).iterdir()):
             digests[f"{out}/{path.name}"] = sha256(path.read_bytes())
-    assert digests == EXPECTED
+    return digests
+
+
+def test_outputs_keep_their_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # relative paths keep the embedded config stable
+    monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)  # two suite workers
+    assert digests_of(list(RUNS), capsys) == EXPECTED
+
+
+def test_verify_bytes_with_the_suites_in_process(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(theorems, "_usable_cpus", lambda: 1)
+    runs = [out for out, argv in RUNS.items() if argv[0] == "verify"]
+    assert digests_of(runs, capsys) == {
+        key: digest for key, digest in EXPECTED.items() if key.split("/")[0] in runs}

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from arithstat.kernel import (
     generate,
 )
 from arithstat.density import Outcome, VerdictPolicy
+from arithstat import theorems
 from arithstat.lacunary import make_scheme
 from arithstat.theorems import (
     MAX_LIMSUP,
     MIN_LIMINF,
     HypothesisNotMet,
+    SuiteResult,
     check_delta_transfer,
     check_lac1_bound,
     check_markov_step,
@@ -403,6 +406,34 @@ class TestPropertySuites:
         dt = suites["delta_transfer"]
         assert dt.extra["max_delta"] == 1.0
         assert dt.extra["min_delta"] < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, seed):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
+            suites = run_property_suite(seed, instances=20, refinement_instances=20,
+                                        max_length=1000)
+            runs.append({name: res.to_dict() for name, res in suites.items()})
+        assert runs[0] == runs[1]
+        assert list(runs[0]) == list(theorems.SUITES)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_suite_patched_with_a_closure_takes_effect(self, monkeypatch, cpus):
+        note = f"patched under {cpus} CPUs"
+
+        def patched(seed, instances, max_length):
+            return SuiteResult("markov_step", instances, extra={"note": note, "seed": seed})
+
+        with pytest.raises((AttributeError, pickle.PicklingError)):
+            pickle.dumps(patched)  # a worker can only get it by name
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(theorems, "markov_step_suite", patched)
+        suites = run_property_suite(5, instances=3, refinement_instances=3, max_length=300)
+        assert suites["markov_step"].to_dict() == {
+            "name": "markov_step", "instances": 3, "failures": [], "passed": True,
+            "note": note, "seed": 7}
+        assert suites["lac1_bound"].extra["blocks_checked"] > 0
 
     def test_suite_to_dict(self):
         suites = run_property_suite(0, instances=5, refinement_instances=5,
