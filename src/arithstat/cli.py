@@ -174,6 +174,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     )
     if cfg.instances < 1:
         raise ConfigError("--instances must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -181,6 +183,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # Input parsing. The JSON spec vocabulary lives here, not in the library:
 # files are a CLI concern.
 # ---------------------------------------------------------------------------
+
+
+def _integer(v) -> int:
+    """A JSON integer field's value; ValueError when it is not a whole number."""
+    n = int(v)
+    if n != v:
+        raise ValueError(f"{v!r} is not an integer")
+    return n
 
 
 def parse_generator_spec(obj) -> GeneratorSpec:
@@ -199,16 +209,16 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
             return Constant(float(obj["value"]))
         if kind == "gcd_periodic":
             table = {int(k): float(v) for k, v in obj["table"].items()}
-            return GcdPeriodic(int(obj["modulus"]), table)
+            return GcdPeriodic(_integer(obj["modulus"]), table)
         if kind == "sparse_spike":
             support = obj.get("support")
             return SparseSpike(
                 height=float(obj.get("height", 1.0)),
                 base=float(obj.get("base", 0.0)),
-                support=None if support is None else tuple(int(s) for s in support),
-                power=None if obj.get("power") is None else int(obj["power"]),
+                support=None if support is None else tuple(map(_integer, support)),
+                power=None if obj.get("power") is None else _integer(obj["power"]),
                 rate=None if obj.get("rate") is None else float(obj["rate"]),
-                seed=int(obj.get("seed", 0)),
+                seed=_integer(obj.get("seed", 0)),
             )
         if kind == "scaled":
             return Scaled(float(obj["factor"]), _parse_spec(obj["child"], depth + 1))
@@ -234,16 +244,16 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
         raise InputError(f"scheme spec must be a JSON object, got {type(obj).__name__}")
     try:
         if "points" in obj:
-            return make_scheme(int(p) for p in obj["points"])
+            return make_scheme(map(_integer, obj["points"]))
         if "geometric" in obj:
             g = obj["geometric"]
-            points = geometric_points(float(g["ratio"]), int(g.get("start", 1)))
-            return first_blocks(points, int(g["count"]))
+            points = geometric_points(float(g["ratio"]), _integer(g.get("start", 1)))
+            return first_blocks(points, _integer(g["count"]))
         if "polynomial" in obj:
             g = obj["polynomial"]
-            return first_blocks(polynomial_points(int(g["degree"])), int(g["count"]))
+            return first_blocks(polynomial_points(_integer(g["degree"])), _integer(g["count"]))
         if "factorial" in obj:
-            return first_blocks(factorial_points(), int(obj["factorial"]["count"]))
+            return first_blocks(factorial_points(), _integer(obj["factorial"]["count"]))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
     raise InputError("scheme spec needs 'points', 'geometric', 'polynomial', or 'factorial'")
@@ -375,6 +385,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_analyze(cfg: RunConfig) -> None:
+    if len(cfg.schemes) > 1:
+        raise ConfigError("give at most one --scheme to analyze")
     x = load_sequence(cfg.input, cfg.length)
     scheme = load_scheme(cfg.schemes[0]) if cfg.schemes else None
     try:
@@ -568,11 +580,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
         except (HypothesisNotMet, ValueError) as e:
             raise ConfigError(str(e)) from None
 
-    suites = run_property_suite(
-        cfg.seed, instances=cfg.instances,
-        refinement_instances=max(50, cfg.instances // 2),
-        meanwhile=family_checks,
-    )
+    suites = run_property_suite(cfg.seed, instances=cfg.instances, meanwhile=family_checks)
     if cfg.inject_fault == "scaling":
         rep = _injected_scaling_report()
         if not rep.passed:

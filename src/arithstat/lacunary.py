@@ -9,8 +9,8 @@ floats or as exact fractions where a comparison depends on them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, takewhile
@@ -88,10 +88,6 @@ class LacunaryScheme:
         if not 1 <= r <= self.block_count:
             raise ValueError(f"block index {r} outside 1..{self.block_count}")
         return self.points[r - 1], self.points[r]
-
-    def block_length(self, r: int) -> int:
-        lo, hi = self.block(r)
-        return hi - lo
 
     def blocks_within(self, length: int) -> int:
         """How many leading blocks end at or before the given sample length."""
@@ -191,9 +187,6 @@ class RelationPair:
     coarse_size: int
     ratio: float
 
-    def ratio_fraction(self) -> Fraction:
-        return Fraction(self.size, self.coarse_size)
-
     def to_dict(self) -> dict:
         return {
             "coarse_block": self.coarse_index,
@@ -220,13 +213,10 @@ class SchemeRelation:
     pairs: tuple[RelationPair, ...]
     delta: float | None
 
-    def pairs_of(self, coarse_index: int) -> tuple[RelationPair, ...]:
-        return tuple(p for p in self.pairs if p.coarse_index == coarse_index)
-
     def delta_fraction(self) -> Fraction:
         if not self.pairs:
             raise ValueError("relation has no pairs, delta is undefined")
-        return min(p.ratio_fraction() for p in self.pairs)
+        return min(Fraction(p.size, p.coarse_size) for p in self.pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -239,30 +229,15 @@ class SchemeRelation:
 def refinement_map(coarse: LacunaryScheme, fine: LacunaryScheme) -> SchemeRelation:
     """Map every coarse block to the fine blocks that tile it.
 
-    Requires `fine` to refine `coarse`; the fine block lengths inside coarse
-    block r always sum to h_r, which is asserted. delta is the minimum
-    length ratio h*_j / h_r over all pairs. Fine blocks outside the coarse
-    range (below k_0 or above k_R) belong to no coarse block and are omitted.
+    Requires `fine` to refine `coarse`. Each block intersection is then a
+    whole fine block, and those inside coarse block r sum to h_r. delta is
+    the minimum length ratio h*_j / h_r over all pairs. Fine blocks outside
+    the coarse range (below k_0 or above k_R) belong to no coarse block and
+    are omitted.
     """
     if not is_refinement(coarse, fine):
         raise ValueError("second scheme does not refine the first")
-    fpts = fine.points
-    pairs = []
-    for r in range(1, coarse.block_count + 1):
-        lo, hi = coarse.block(r)
-        a = bisect_left(fpts, lo)
-        b = bisect_left(fpts, hi)
-        h_r = hi - lo
-        covered = 0
-        for j in range(a + 1, b + 1):
-            size = fpts[j] - fpts[j - 1]
-            covered += size
-            pairs.append(
-                RelationPair(r, j, fpts[j - 1], fpts[j], size, h_r, size / h_r)
-            )
-        assert covered == h_r, "fine blocks must tile each coarse block exactly"
-    delta = min(p.ratio for p in pairs)
-    return SchemeRelation("refinement", tuple(pairs), delta)
+    return replace(block_intersections(coarse, fine), kind="refinement")
 
 
 def block_intersections(a: LacunaryScheme, b: LacunaryScheme) -> SchemeRelation:

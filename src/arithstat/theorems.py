@@ -711,11 +711,11 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def run_property_suite(seed: int = 0, *, instances: int = 1000,
-                       refinement_instances: int = 500, max_length: int = 10_000,
+def run_property_suite(seed: int = 0, *, instances: int = 1000, max_length: int = 10_000,
                        meanwhile: Callable[[], object] = lambda: None) -> dict[str, SuiteResult]:
     """All six randomized suites, by name in SUITES order, while `meanwhile()` runs here.
 
+    The first three run `instances` instances, the last three max(50, instances // 2).
     They run in forked workers, one per suite up to the usable CPUs, that keep this
     process's imports and patches; with one CPU or no fork, here after `meanwhile()`.
     Each has its own rng, so where it ran does not change its result. No worker
@@ -731,6 +731,6 @@ def run_property_suite(seed: int = 0, *, instances: int = 1000,
             stack.callback(pool.shutdown, cancel_futures=True)
             suite_map = pool.map
         results = suite_map(_run_named_suite, SUITES, range(seed, seed + 6),
-                            (instances,) * 3 + (refinement_instances,) * 3, [max_length] * 6)
+                            (instances,) * 3 + (max(50, instances // 2),) * 3, [max_length] * 6)
         meanwhile()
         return dict(zip(SUITES, results))

@@ -173,16 +173,35 @@ class TestAnalyze:
         {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0.0}},
         {"kind": "sparse_spike", "power": 2, "rate": 0.5},
         {"kind": "scaled", "factor": 2.0},
+        # integer fields refuse fractions rather than truncate them
+        {"kind": "gcd_periodic", "modulus": 6.9, "table": {"1": 0, "2": 1, "3": 1, "6": 2}},
+        {"kind": "sparse_spike", "support": [1, 2.5]},
+        {"kind": "sparse_spike", "power": 2.7},
+        {"kind": "sparse_spike", "rate": 0.5, "seed": 0.5},
     ])
-    def test_bad_generator_spec_is_input_error(self, tmp_path, spec):
+    def test_bad_generator_spec_is_input_error(self, tmp_path, capsys, spec):
         path = write_json(tmp_path / "spec.json", spec)
         rc = main(["analyze", "--input", path, "--length", "64",
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_line_input_error(captured.err)
 
     def test_generator_without_length_is_config_error(self, tmp_path, const_spec):
         rc = main(["analyze", "--input", const_spec, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
+
+    def test_two_schemes_are_refused_before_the_input_is_read(self, tmp_path, capsys,
+                                                             scheme_file):
+        # the input is absent: reading it first would end in an input error
+        rc = main(["analyze", "--input", str(tmp_path / "absent.csv"), "--scheme", scheme_file,
+                   "--scheme", scheme_file, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags", [
         ("--tol", "0.5", "--tol-hi", "0.2"),
@@ -343,6 +362,12 @@ class TestScheme:
             # refused before 2**(10**12) is computed
             json.dumps({"polynomial": {"degree": 10**12, "count": 1}}),
             '{"points": [1, 2' + "0" * 5000 + "]}",
+            # integer fields refuse fractions rather than truncate them
+            json.dumps({"points": [1, 2.5, 4.9, 8]}),
+            json.dumps({"geometric": {"ratio": 2, "count": 3.5}}),
+            json.dumps({"geometric": {"ratio": 2, "count": 3, "start": 1.5}}),
+            json.dumps({"polynomial": {"degree": 2.7, "count": 3}}),
+            json.dumps({"factorial": {"count": 3.5}}),
         ]
         path = tmp_path / "s.json"
         for text in texts:
@@ -385,6 +410,7 @@ class TestVerify:
         ("--length", "257"),  # the prefix tail starts at 51, below --n-max 64
         ("--length", "65", "--tail-window", "2"),  # prefix tail at 51, last block at 32
         ("--length", "65", "--tail-window", "1"),  # the last block starts at 32
+        ("--seed", "-1"),  # numpy draws from no negative seed
     ])
     def test_bad_family_config_is_refused_before_the_suites(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

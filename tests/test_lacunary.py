@@ -97,8 +97,7 @@ class TestRefinement:
         rel = refinement_map(make_scheme([1, 4, 16]), DYADIC)
         assert rel.kind == "refinement"
         assert len(rel.pairs) == 4
-        assert [p.size for p in rel.pairs_of(1)] == [1, 2]
-        assert [p.size for p in rel.pairs_of(2)] == [4, 8]
+        assert [(p.coarse_index, p.size) for p in rel.pairs] == [(1, 1), (1, 2), (2, 4), (2, 8)]
         assert rel.delta == pytest.approx(1 / 3)
         assert rel.delta_fraction() == Fraction(1, 3)
 
@@ -121,8 +120,21 @@ class TestRefinement:
         coarse = make_scheme([1, 10, 100, 1000])
         fine = make_scheme(sorted(set(coarse.points) | {1, 3, 7, 40, 77, 500, 1000}))
         rel = refinement_map(coarse, fine)
-        for r in range(1, coarse.block_count + 1):
-            assert sum(p.size for p in rel.pairs_of(r)) == coarse.block_length(r)
+        for r, h_r in enumerate(coarse.lengths, start=1):
+            assert sum(p.size for p in rel.pairs if p.coarse_index == r) == h_r
+
+    def test_map_pairs_each_coarse_block_with_the_fine_blocks_inside_it(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            coarse = make_scheme(sorted(rng.choice(np.arange(1, 300), rng.integers(2, 9), False)))
+            extra = rng.choice(np.arange(1, 400), rng.integers(0, 13), False)
+            fine = make_scheme(sorted(set(coarse.points) | set(extra.tolist())))
+            want = [(r, j, lo, hi)
+                    for r, (k_lo, k_hi) in enumerate(zip(coarse.points, coarse.points[1:]), 1)
+                    for j, (lo, hi) in enumerate(zip(fine.points, fine.points[1:]), 1)
+                    if k_lo <= lo and hi <= k_hi]
+            rel = refinement_map(coarse, fine)
+            assert [(p.coarse_index, p.fine_index, p.lo, p.hi) for p in rel.pairs] == want
 
     def test_rejects_non_refinement(self):
         with pytest.raises(ValueError, match="refine"):

@@ -8,10 +8,11 @@ block checks came to count every block of an instance from one pass, and
 those of `verify-fault` before the scaling and sum checks came to return
 both axes from one flag mask and the injected fault to compare flag masks, and
 those of `analyze-grid` and `verify-grid` before the threshold grid became a
-field of the verdict policy. Every `verify` digest predates the shared
-verdicts: it was recorded while each experiment and battery still searched
-its own input verdicts, before `verify` searched them once into one evidence
-table. Any change to a verdict, a density, a scheme generator or a suite
+field of the verdict policy, and those of `scheme-refinement` before a
+refinement map came to be computed as the block intersections of a
+refinement. Every `verify` digest predates the shared verdicts: it was
+recorded while each experiment and battery still searched its own input
+verdicts, before `verify` searched them once into one evidence table. Any change to a verdict, a density, a scheme generator or a suite
 draw shows up as a changed digest. The `verify` digests hold whether the
 suites run in this process or in worker processes.
 """
@@ -36,6 +37,8 @@ INPUTS = {
     "dyadic.json": {"geometric": {"ratio": 2, "count": 12}},
     # its last block ends at 1477, before the end of the 3000-value sample
     "ratio15.json": {"geometric": {"ratio": 1.5, "count": 18, "start": 1}},
+    # every fourth breakpoint of dyadic.json, up to 64 of its 4096
+    "refiner.json": {"points": [1, 4, 16, 64]},
 }
 
 
@@ -52,6 +55,8 @@ RUNS = {
     "analyze": ["analyze", "--input", "spec.json", "--length", "4096",
                 "--scheme", "dyadic.json"],
     "scheme": ["scheme", "--scheme", "geometric.json", "--scheme", "polynomial.json"],
+    # a refinement relation, first refines second, with fine blocks past the coarse range
+    "scheme-refinement": ["scheme", "--scheme", "dyadic.json", "--scheme", "refiner.json"],
     "verify": ["verify", "--instances", "20", "--seed", "7"],
     # enough instances that the block suites check thousands of blocks
     "verify-100": ["verify", "--instances", "100", "--seed", "1"],
@@ -79,6 +84,13 @@ EXPECTED = {
     "scheme/scheme_1.csv": "0706d64833800ea3da28f2602abbfc7b96c8eff2ac97e4084882a8b6b674ad9c",
     "scheme/scheme_2.csv": "ce5a037dd3856c9416025160cdb2581f38b16e3772988c0346506d0779953e98",
     "scheme/scheme_report.json": "1a0eacb1759ad15c9ce10d379af2082b797a5b0bee5c39a239a4964ae912737f",
+    "scheme-refinement/stdout": "40c0aad9c19d7d5693efd0a6fb42ccbbfc792f5a9c24035c766268bcdf8b374c",
+    "scheme-refinement/scheme_1.csv":
+        "d48280a8b42e1fa0eb26aaa418a6711bfc194dbca7d9ad8877a198abdb211dad",
+    "scheme-refinement/scheme_2.csv":
+        "b65508b687f17eb26c3516931f0cd6bacbb4fa0f3fa82ee519304d7902b793a5",
+    "scheme-refinement/scheme_report.json":
+        "eec76d444cff1596b4a1f33327dd6e8e018958f8165cdb61c5d3eec993b31919",
     "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
     "verify/verify_report.json": "5a4bd89459549451ff068ff44887348d32f9e96f75495af707f7f063cb0bfad0",
     "verify-100/stdout": "8eaa9a8c645b5f6a68454222aeaf84d1273ebae0dc0ccad53ef594637e7c71c4",

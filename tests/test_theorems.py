@@ -384,8 +384,7 @@ class TestRandomInstances:
 
 class TestPropertySuites:
     def test_all_suites_pass_quickly(self):
-        suites = run_property_suite(11, instances=60, refinement_instances=40,
-                                    max_length=1500)
+        suites = run_property_suite(11, instances=60, max_length=1500)
         assert set(suites) == {
             "scalar_closure", "sum_closure", "markov_step",
             "refinement_aggregation", "delta_transfer", "lac1_bound",
@@ -394,15 +393,13 @@ class TestPropertySuites:
             assert res.passed, (name, res.failures[:1])
 
     def test_aggregation_error_is_pinned(self):
-        suites = run_property_suite(3, instances=30, refinement_instances=30,
-                                    max_length=1000)
+        suites = run_property_suite(3, instances=30, max_length=1000)
         agg = suites["refinement_aggregation"]
         assert agg.extra["tolerance"] == 1e-12
         assert agg.extra["max_error"] <= 1e-12
 
     def test_delta_suite_sees_identity_and_proper_refinements(self):
-        suites = run_property_suite(19, instances=30, refinement_instances=60,
-                                    max_length=1000)
+        suites = run_property_suite(19, instances=30, max_length=1000)
         dt = suites["delta_transfer"]
         assert dt.extra["max_delta"] == 1.0
         assert dt.extra["min_delta"] < 1.0
@@ -412,8 +409,7 @@ class TestPropertySuites:
         runs = []
         for cpus in (1, 2):
             monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
-            suites = run_property_suite(seed, instances=20, refinement_instances=20,
-                                        max_length=1000)
+            suites = run_property_suite(seed, instances=20, max_length=1000)
             runs.append({name: res.to_dict() for name, res in suites.items()})
         assert runs[0] == runs[1]
         assert list(runs[0]) == list(theorems.SUITES)
@@ -429,15 +425,14 @@ class TestPropertySuites:
             pickle.dumps(patched)  # a worker can only get it by name
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(theorems, "markov_step_suite", patched)
-        suites = run_property_suite(5, instances=3, refinement_instances=3, max_length=300)
+        suites = run_property_suite(5, instances=3, max_length=300)
         assert suites["markov_step"].to_dict() == {
             "name": "markov_step", "instances": 3, "failures": [], "passed": True,
             "note": note, "seed": 7}
         assert suites["lac1_bound"].extra["blocks_checked"] > 0
 
     def test_suite_to_dict(self):
-        suites = run_property_suite(0, instances=5, refinement_instances=5,
-                                    max_length=300)
+        suites = run_property_suite(0, instances=5, max_length=300)
         d = suites["markov_step"].to_dict()
         assert d["passed"] is True
         assert d["blocks_checked"] > 0
