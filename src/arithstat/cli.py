@@ -98,6 +98,9 @@ MAX_LENGTH = 2**25
 #: sample, so a search runs n_max passes per axis: 2**16 of them take about
 #: 5 s on a 200-value sample and minutes at 2**20 points.
 MAX_N_MAX = 2**16
+#: Largest magnitude of a sample value. Deviations are then at most twice this,
+#: so an fsum of MAX_LENGTH of them stays finite.
+MAX_MAGNITUDE = sys.float_info.max / 2**26
 #: Bytes of a CSV decoded at a time. A load holds one chunk's text and lines
 #: besides the value array, never the whole text.
 _CSV_CHUNK = 2**18
@@ -186,11 +189,18 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _integer(v) -> int:
-    """A JSON integer field's value; ValueError when it is not a whole number."""
+    """A JSON integer field's value; ValueError unless it is a whole number and not a boolean."""
     n = int(v)
-    if n != v:
+    if n != v or isinstance(v, bool):
         raise ValueError(f"{v!r} is not an integer")
     return n
+
+
+def _number(v) -> float:
+    """A JSON number field's value; float() alone would also read a boolean or a string."""
+    if isinstance(v, (bool, str)):
+        raise ValueError(f"{v!r} is not a number")
+    return float(v)
 
 
 def parse_generator_spec(obj) -> GeneratorSpec:
@@ -206,22 +216,24 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
     kind = obj.get("kind")
     try:
         if kind == "constant":
-            return Constant(float(obj["value"]))
+            return Constant(_number(obj["value"]))
         if kind == "gcd_periodic":
-            table = {int(k): float(v) for k, v in obj["table"].items()}
+            table = {int(k): _number(v) for k, v in obj["table"].items()}
+            if len(table) != len(obj["table"]):
+                raise ValueError("two table keys name the same divisor")
             return GcdPeriodic(_integer(obj["modulus"]), table)
         if kind == "sparse_spike":
             support = obj.get("support")
             return SparseSpike(
-                height=float(obj.get("height", 1.0)),
-                base=float(obj.get("base", 0.0)),
+                height=_number(obj.get("height", 1.0)),
+                base=_number(obj.get("base", 0.0)),
                 support=None if support is None else tuple(map(_integer, support)),
                 power=None if obj.get("power") is None else _integer(obj["power"]),
-                rate=None if obj.get("rate") is None else float(obj["rate"]),
+                rate=None if obj.get("rate") is None else _number(obj["rate"]),
                 seed=_integer(obj.get("seed", 0)),
             )
         if kind == "scaled":
-            return Scaled(float(obj["factor"]), _parse_spec(obj["child"], depth + 1))
+            return Scaled(_number(obj["factor"]), _parse_spec(obj["child"], depth + 1))
         if kind == "sum":
             return Summed(_parse_spec(obj["left"], depth + 1),
                           _parse_spec(obj["right"], depth + 1))
@@ -247,7 +259,7 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
             return make_scheme(map(_integer, obj["points"]))
         if "geometric" in obj:
             g = obj["geometric"]
-            points = geometric_points(float(g["ratio"]), _integer(g.get("start", 1)))
+            points = geometric_points(_number(g["ratio"]), _integer(g.get("start", 1)))
             return first_blocks(points, _integer(g["count"]))
         if "polynomial" in obj:
             g = obj["polynomial"]
@@ -285,30 +297,35 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
         if length is None:
             raise ConfigError("--length is required with a generator spec input")
         try:
-            return generate(spec, length)
+            with np.errstate(all="ignore"):  # an overflow to inf is refused as non-finite
+                x = generate(spec, length)
         except ValueError as e:
             raise InputError(f"{p}: {e}") from None
-    with closing(_csv_lines(p)) as chunks:
-        lines = chain.from_iterable(chunks)
+    else:
+        with closing(_csv_lines(p)) as chunks:
+            lines = chain.from_iterable(chunks)
+            try:
+                vals = np.fromiter(map(float, islice(lines, MAX_LENGTH + 1)), np.float64)
+            except ValueError:
+                # A bad byte anywhere in the file outranks a bad line, as it did
+                # when the whole text was decoded before any line was parsed.
+                deque(lines, maxlen=0)
+                raise InputError(f"{p} holds a non-numeric line") from None
+        if vals.size > MAX_LENGTH:
+            raise InputError(f"{p} holds more than {MAX_LENGTH} values")
+        if not vals.size:
+            raise InputError(f"{p} holds no values")
+        if length is not None:
+            if length > vals.size:
+                raise InputError(f"--length {length} exceeds the {vals.size} values in {p}")
+            vals = vals[:length]
         try:
-            vals = np.fromiter(map(float, islice(lines, MAX_LENGTH + 1)), np.float64)
-        except ValueError:
-            # A bad byte anywhere in the file outranks a bad line, as it did
-            # when the whole text was decoded before any line was parsed.
-            deque(lines, maxlen=0)
-            raise InputError(f"{p} holds a non-numeric line") from None
-    if vals.size > MAX_LENGTH:
-        raise InputError(f"{p} holds more than {MAX_LENGTH} values")
-    if not vals.size:
-        raise InputError(f"{p} holds no values")
-    if length is not None:
-        if length > vals.size:
-            raise InputError(f"--length {length} exceeds the {vals.size} values in {p}")
-        vals = vals[:length]
-    try:
-        return SeqSample(vals, recipe=f"csv({p.name})")
-    except ValueError as e:
-        raise InputError(str(e)) from None
+            x = SeqSample(vals, recipe=f"csv({p.name})")
+        except ValueError as e:
+            raise InputError(str(e)) from None
+    if max(x.values.max(), -x.values.min()) > MAX_MAGNITUDE:
+        raise InputError(f"{p} holds a value of magnitude above {MAX_MAGNITUDE:g}")
+    return x
 
 
 def _csv_lines(p: Path) -> Iterator[list[str]]:

@@ -26,7 +26,7 @@ from .density import (
     asc_theta_verdict,
 )
 from .lacunary import LacunaryScheme
-from .theorems import CheckReport, Evidence, HypothesisNotMet
+from .theorems import CheckReport, Evidence, HypothesisNotMet, SequenceComparison, verdict_status
 
 __all__ = [
     "Affine",
@@ -40,7 +40,6 @@ __all__ = [
     "apply_fn",
     "describe_fn",
     "map_sequence",
-    "BatteryEntry",
     "ContinuityReport",
     "continuity_battery",
     "closure_checks",
@@ -187,36 +186,17 @@ def map_sequence(f: RealFunction, x: SeqSample) -> SeqSample:
 
 
 @dataclass(frozen=True, eq=False)
-class BatteryEntry:
-    """One family member's before/after verdict outcomes."""
-
-    name: str
-    input_outcome: Outcome
-    input_witness: int | None
-    mapped_outcome: Outcome | None
-    status: str  # support | inconclusive | contradiction | skipped
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "input_outcome": self.input_outcome.value,
-            "input_witness": self.input_witness,
-            "mapped_outcome": None if self.mapped_outcome is None else self.mapped_outcome.value,
-            "status": self.status,
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class ContinuityReport:
     """Preservation evidence for one function over one family.
 
-    A contradiction means a member was convergent at scale before mapping and
-    NotConvergentAtScale after; an inconclusive mapped verdict never
-    contradicts. Members whose input verdict is not convergent are skipped.
+    Each entry pairs a member's verdict before mapping with its verdict after
+    (None when skipped), and `verdict_status` gives its status: a member not
+    convergent before mapping is skipped, and only NotConvergentAtScale after
+    mapping contradicts.
     """
 
     function: RealFunction
-    entries: tuple[BatteryEntry, ...]
+    entries: tuple[SequenceComparison, ...]
     support_count: int
     contradiction_count: int
     inconclusive_count: int
@@ -225,7 +205,10 @@ class ContinuityReport:
     def to_dict(self) -> dict:
         return {
             "function": describe_fn(self.function),
-            "entries": [e.to_dict() for e in self.entries],
+            "entries": [{"name": e.name, "input_outcome": e.left.outcome.value,
+                         "input_witness": e.left.witness,
+                         "mapped_outcome": None if e.right is None else e.right.outcome.value,
+                         "status": e.status} for e in self.entries],
             "support": self.support_count,
             "contradictions": self.contradiction_count,
             "inconclusive": self.inconclusive_count,
@@ -242,20 +225,13 @@ def continuity_battery(f: RealFunction, table: Sequence[Evidence]) -> Continuity
     entries = []
     for e in table:
         vin = e.theta
-        if vin.outcome is not Outcome.CONVERGENT:
-            entries.append(BatteryEntry(e.name, vin.outcome, vin.witness, None, "skipped"))
-            continue
-        vout = asc_theta_verdict(map_sequence(f, e.sample), e.scheme, vin.policy)
-        if vout.outcome is Outcome.NOT_CONVERGENT:
-            status = "contradiction"
-        elif vout.outcome is Outcome.INCONCLUSIVE:
-            status = "inconclusive"
-        else:
-            status = "support"
-        entries.append(BatteryEntry(e.name, vin.outcome, vin.witness, vout.outcome, status))
-    return ContinuityReport(f, tuple(entries), *(
-        sum(e.status == status for e in entries)
-        for status in ("support", "contradiction", "inconclusive", "skipped")))
+        vout = (asc_theta_verdict(map_sequence(f, e.sample), e.scheme, vin.policy)
+                if vin.outcome is Outcome.CONVERGENT else None)
+        status = verdict_status(vin, vout)
+        entries.append(SequenceComparison(e.name, vin, vout, status != "contradiction"))
+    statuses = [e.status for e in entries]
+    return ContinuityReport(f, tuple(entries), *map(
+        statuses.count, ("support", "contradiction", "inconclusive", "skipped")))
 
 
 def closure_checks(f_report: ContinuityReport, g_report: ContinuityReport,

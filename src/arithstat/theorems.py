@@ -9,8 +9,9 @@ with denominators cleared in integer or Fraction arithmetic, so no floating
 tolerance is involved anywhere a mathematical identity is claimed.
 
 evidence_table searches the verdicts of a family of sequences once, and
-run_inclusion_experiment compares them for one inclusion hypothesis. A scheme
-that does not meet the hypothesis (ratio_gate) causes a refusal
+run_inclusion_experiment compares them for one inclusion hypothesis; it reads
+each verdict pair with verdict_status, as the continuity batteries do. A
+scheme that does not meet the hypothesis (ratio_gate) causes a refusal
 (HypothesisNotMet), which is not a failure.
 """
 
@@ -78,6 +79,7 @@ __all__ = [
     "check_delta_transfer",
     "Evidence",
     "evidence_table",
+    "verdict_status",
     "SequenceComparison",
     "InclusionExperiment",
     "ratio_gate",
@@ -297,20 +299,41 @@ def evidence_table(family: Sequence[tuple[str, SeqSample]], scheme: LacunarySche
                  for name, x in family)
 
 
+def verdict_status(left, right) -> str:
+    """How one member's verdict pair bears on "left convergent implies right convergent".
+
+    "skipped" when `left` is not convergent (`right` is then not read);
+    otherwise "contradiction", "inconclusive" or "support" as `right` is
+    NotConvergentAtScale, Inconclusive or ConvergentAtScale. An inconclusive
+    verdict never contradicts.
+    """
+    if left.outcome is not Outcome.CONVERGENT:
+        return "skipped"
+    return {Outcome.NOT_CONVERGENT: "contradiction", Outcome.INCONCLUSIVE: "inconclusive",
+            Outcome.CONVERGENT: "support"}[right.outcome]
+
+
 @dataclass(frozen=True, eq=False)
 class SequenceComparison:
-    """Verdict pair for one family member under one inclusion hypothesis."""
+    """Verdict pair for one family member under one implication.
+
+    In a continuity battery, `right` is None when `left` is not convergent.
+    """
 
     name: str
     left: ConvergenceVerdict | MeanVerdict
-    right: ConvergenceVerdict
+    right: ConvergenceVerdict | None
     supports: bool
+
+    @property
+    def status(self) -> str:
+        return verdict_status(self.left, self.right)
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
+            "right": None if self.right is None else self.right.to_dict(),
             "supports": self.supports,
         }
 
@@ -335,15 +358,6 @@ class InclusionExperiment:
             "comparisons": [c.to_dict() for c in self.comparisons],
             "summary": self.summary,
         }
-
-
-def _contradicts(left, right, both_ways: bool) -> bool:
-    hard = (left.outcome is Outcome.CONVERGENT
-            and right.outcome is Outcome.NOT_CONVERGENT)
-    if both_ways:
-        hard = hard or (left.outcome is Outcome.NOT_CONVERGENT
-                        and right.outcome is Outcome.CONVERGENT)
-    return hard
 
 
 def ratio_gate(hypothesis: str, scheme: LacunaryScheme) -> tuple[float, float]:
@@ -376,15 +390,13 @@ def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence]) -> Incl
 
     `ratio_gate` checks the table's scheme before any verdict is read.
 
-    A member supports the inclusion unless the left verdict is convergent
-    while the right is NotConvergentAtScale (a hard contradiction; for
-    `corollary` either direction counts). Inconclusive right verdicts are
-    tallied but never contradict.
+    A member supports the inclusion unless its `verdict_status` is a
+    contradiction; for `corollary` the reverse pair must not contradict
+    either. Inconclusive right verdicts are tallied but never contradict.
     """
     scheme = table[0].scheme
     lim_lo, lim_hi = ratio_gate(hypothesis, scheme)
 
-    both_ways = hypothesis == "corollary"
     comparisons = []
     for e in table:
         if hypothesis == "ac_subset":
@@ -392,28 +404,19 @@ def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence]) -> Incl
         else:
             # lac1 and corollary share the left-to-right orientation
             left, right = (e.theta, e.asc) if hypothesis == "lac2" else (e.asc, e.theta)
-        supports = not _contradicts(left, right, both_ways)
+        supports = verdict_status(left, right) != "contradiction" and not (
+            hypothesis == "corollary" and verdict_status(right, left) == "contradiction")
         comparisons.append(SequenceComparison(e.name, left, right, supports))
 
-    left_conv = sum(c.left.outcome is Outcome.CONVERGENT for c in comparisons)
-    both_conv = sum(
-        c.left.outcome is Outcome.CONVERGENT
-        and c.right.outcome is Outcome.CONVERGENT
-        for c in comparisons
-    )
-    right_inco = sum(
-        c.left.outcome is Outcome.CONVERGENT
-        and c.right.outcome is Outcome.INCONCLUSIVE
-        for c in comparisons
-    )
+    statuses = [c.status for c in comparisons]
     contradictions = sum(not c.supports for c in comparisons)
     summary = {
         "total": len(comparisons),
         "supported": len(comparisons) - contradictions,
         "contradictions": contradictions,
-        "left_convergent": left_conv,
-        "both_convergent": both_conv,
-        "right_inconclusive_when_left_convergent": right_inco,
+        "left_convergent": len(statuses) - statuses.count("skipped"),
+        "both_convergent": statuses.count("support"),
+        "right_inconclusive_when_left_convergent": statuses.count("inconclusive"),
     }
     return InclusionExperiment(
         hypothesis, scheme.points, lim_lo, lim_hi, tuple(comparisons), summary,

@@ -21,6 +21,7 @@ from arithstat.cli import (
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     MAX_LENGTH,
+    MAX_MAGNITUDE,
     MAX_N_MAX,
     main,
 )
@@ -136,6 +137,36 @@ class TestAnalyze:
         assert rc == EXIT_INPUT, reason
         assert_one_line_input_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, text, length", [
+        # the deviations' fsum in ntheta_norm overflowed and raised
+        ("big.csv", "1e307\n" * 5000, None),
+        ("const.json", json.dumps({"kind": "constant", "value": 1e307}), 5000),
+        # deviations of 2e308 overflowed to inf with a numpy warning
+        ("pm.csv", "1e308\n-1e308\n" * 2500, None),
+        # the product overflows to inf, with a numpy warning, while the sample is generated
+        ("scaled.json", json.dumps({"kind": "scaled", "factor": 1e300,
+                                    "child": {"kind": "constant", "value": 1e300}}), 100),
+    ], ids=["big.csv", "const.json", "pm.csv", "scaled.json"])
+    def test_values_past_the_magnitude_bound_are_input_errors(self, tmp_path, capsys,
+                                                              name, text, length):
+        path = tmp_path / name
+        path.write_text(text)
+        scheme = write_json(tmp_path / "dyadic.json", {"geometric": {"ratio": 2, "count": 12}})
+        argv = ["analyze", "--input", str(path), "--scheme", scheme, "--out", str(tmp_path / "o")]
+        rc = main(argv + ([] if length is None else ["--length", str(length)]))
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert_one_line_input_error(captured.err)
+
+    def test_values_at_the_magnitude_bound_are_analyzed(self, tmp_path):
+        # deviations reach twice the bound; the tests fail on any numpy RuntimeWarning
+        path = tmp_path / "edge.csv"
+        path.write_text(f"{MAX_MAGNITUDE!r}\n{-MAX_MAGNITUDE!r}\n" * 2500)
+        scheme = write_json(tmp_path / "dyadic.json", {"geometric": {"ratio": 2, "count": 12}})
+        rc = main(["analyze", "--input", str(path), "--scheme", scheme,
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(["analyze", "--input", str(tmp_path / "absent.csv"),
                    "--out", str(tmp_path / "o")])
@@ -178,6 +209,22 @@ class TestAnalyze:
         {"kind": "sparse_spike", "support": [1, 2.5]},
         {"kind": "sparse_spike", "power": 2.7},
         {"kind": "sparse_spike", "rate": 0.5, "seed": 0.5},
+        # number fields refuse booleans and strings, which float() and int() would read
+        {"kind": "constant", "value": True},
+        {"kind": "constant", "value": "2"},
+        {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": True, "6": 2}},
+        {"kind": "gcd_periodic", "modulus": True, "table": {"1": 0}},
+        {"kind": "sparse_spike", "height": "4", "power": 2},
+        {"kind": "sparse_spike", "base": False, "power": 2},
+        {"kind": "sparse_spike", "support": [True, 2]},
+        {"kind": "sparse_spike", "rate": True},
+        {"kind": "sparse_spike", "rate": "0.5"},
+        {"kind": "sparse_spike", "rate": 0.5, "seed": True},
+        {"kind": "scaled", "factor": "2", "child": {"kind": "constant", "value": 1}},
+        # two table keys that name one divisor would keep only the last entry
+        {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, "06": 1}},
+        {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, "+6": 1}},
+        {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, " 6": 1}},
     ])
     def test_bad_generator_spec_is_input_error(self, tmp_path, capsys, spec):
         path = write_json(tmp_path / "spec.json", spec)
@@ -368,6 +415,13 @@ class TestScheme:
             json.dumps({"geometric": {"ratio": 2, "count": 3, "start": 1.5}}),
             json.dumps({"polynomial": {"degree": 2.7, "count": 3}}),
             json.dumps({"factorial": {"count": 3.5}}),
+            # number fields refuse booleans and strings, which float() and int() would read
+            json.dumps({"points": [True, 2, 4, 8]}),
+            json.dumps({"geometric": {"ratio": "2", "count": 3}}),
+            json.dumps({"geometric": {"ratio": 2, "count": True}}),
+            json.dumps({"geometric": {"ratio": 2, "count": 3, "start": True}}),
+            json.dumps({"polynomial": {"degree": True, "count": 3}}),
+            json.dumps({"factorial": {"count": "3"}}),
         ]
         path = tmp_path / "s.json"
         for text in texts:

@@ -126,6 +126,11 @@ class TestBattery:
         by_name = {e.name: e for e in rep.entries}
         assert by_name["ramp"].status == "skipped"
         assert rep.skipped_count == 1
+        # a skipped member's mapped side was never searched, and its row still reports
+        assert by_name["ramp"].to_dict()["right"] is None
+        assert rep.to_dict()["entries"][-1] == {
+            "name": "ramp", "input_outcome": "NotConvergentAtScale", "input_witness": None,
+            "mapped_outcome": None, "status": "skipped"}
 
     def test_step_contradicts_on_crossing(self):
         rep = continuity_battery(STEP_AT_ONE, TABLE + CROSSING)
@@ -133,8 +138,9 @@ class TestBattery:
         by_name = {e.name: e for e in rep.entries}
         entry = by_name["crossing"]
         assert entry.status == "contradiction"
-        assert entry.input_outcome is Outcome.CONVERGENT
-        assert entry.mapped_outcome is Outcome.NOT_CONVERGENT
+        assert entry.left.outcome is Outcome.CONVERGENT
+        assert entry.right.outcome is Outcome.NOT_CONVERGENT
+        assert not entry.supports
 
     def test_counts_sum_to_family_size(self):
         rep = continuity_battery(Polynomial((0.0, 1.0, 0.125)), TABLE)
@@ -173,9 +179,9 @@ class TestEvidenceTable:
             vin = asc_theta_verdict(e.sample, self.SCHEME)
             vout = (asc_theta_verdict(map_sequence(f, e.sample), self.SCHEME)
                     if vin.outcome is Outcome.CONVERGENT else None)
-            assert (entry.name, entry.input_outcome, entry.input_witness,
-                    entry.mapped_outcome) == (e.name, vin.outcome, vin.witness,
-                                              vout and vout.outcome)
+            assert (entry.name, entry.left.outcome, entry.left.witness,
+                    entry.right and entry.right.outcome) == (e.name, vin.outcome, vin.witness,
+                                                             vout and vout.outcome)
 
 
 class TestClosure:

@@ -8,9 +8,11 @@ block checks came to count every block of an instance from one pass, and
 those of `verify-fault` before the scaling and sum checks came to return
 both axes from one flag mask and the injected fault to compare flag masks, and
 those of `analyze-grid` and `verify-grid` before the threshold grid became a
-field of the verdict policy, and those of `scheme-refinement` before a
+field of the verdict policy, those of `scheme-refinement` before a
 refinement map came to be computed as the block intersections of a
-refinement. Every `verify` digest predates the shared verdicts: it was
+refinement, and those of `verify-contradiction` before the inclusion
+experiments and continuity batteries came to read each verdict pair with one
+rule. Every `verify` digest predates the shared verdicts: it was
 recorded while each experiment and battery still searched its own input
 verdicts, before `verify` searched them once into one evidence table. Any change to a verdict, a density, a scheme generator or a suite
 draw shows up as a changed digest. The `verify` digests hold whether the
@@ -72,9 +74,14 @@ RUNS = {
                      "--tol", "0.05"],
     "verify-grid": ["verify", "--instances", "20", "--seed", "7",
                     "--eps-grid", "1,0.25,0.05", "--tail-window", "4"],
+    # the contradiction paths: a family too short for its tail window, so lac2
+    # meets one contradiction and one inconclusive right side, and corollary
+    # its contradiction from the reverse direction only; exit 1
+    "verify-contradiction": ["verify", "--length", "9", "--tail-window", "1",
+                             "--n-max", "4", "--instances", "5"],
 }
 #: exit code of each run that does not end in EXIT_OK
-EXIT = {"verify-fault": EXIT_VERIFY_FAILED}
+EXIT = {"verify-fault": EXIT_VERIFY_FAILED, "verify-contradiction": EXIT_VERIFY_FAILED}
 
 EXPECTED = {
     "analyze/stdout": "a82b6a7d81187a792ba329945867601eeda7164582bf3df15aa4a87c415375d3",
@@ -108,6 +115,10 @@ EXPECTED = {
     "verify-grid/stdout": "80f95e4bd99f281a3b83ffb410ddbfe1ffcfd79b652235bbc00918e64e10fd5d",
     "verify-grid/verify_report.json":
         "9cd958835c1420e5e16a50768d79881458d59963b979b26755d09c8f49c34fbc",
+    "verify-contradiction/stdout":
+        "2eb540336b7d1eb7d1eea3b3ddc3efbe5810dadb4973edcfe4816e3dcbb6d951",
+    "verify-contradiction/verify_report.json":
+        "cd0d071da6488ab306478ea2a01df82ee37b7cb34caaeba822eb894eb677f676",
 }
 
 

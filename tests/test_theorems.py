@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from arithstat.theorems import (
     run_inclusion_experiment,
     run_property_suite,
     standard_family,
+    verdict_status,
 )
 
 DYADIC_13 = make_scheme([2**j for j in range(14)])
@@ -288,6 +290,20 @@ class TestStandardFamily:
             assert v.outcome is Outcome.CONVERGENT, name
             assert vt.outcome is Outcome.CONVERGENT, name
             assert v.witness <= 12 and vt.witness <= 12
+
+
+CONV, NOT_CONV, INCO = Outcome.CONVERGENT, Outcome.NOT_CONVERGENT, Outcome.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("left, right, status", [
+    (CONV, NOT_CONV, "contradiction"), (CONV, INCO, "inconclusive"), (CONV, CONV, "support"),
+    (NOT_CONV, NOT_CONV, "skipped"), (NOT_CONV, INCO, "skipped"), (NOT_CONV, CONV, "skipped"),
+    (INCO, NOT_CONV, "skipped"), (INCO, INCO, "skipped"), (INCO, CONV, "skipped"),
+])
+def test_verdict_status(left, right, status):
+    assert verdict_status(SimpleNamespace(outcome=left), SimpleNamespace(outcome=right)) == status
+    if status == "skipped":  # the right side of a skipped pair is never read
+        assert verdict_status(SimpleNamespace(outcome=left), None) == "skipped"
 
 
 class TestInclusionExperiments:
