@@ -54,6 +54,7 @@ from .lacunary import (
     geometric_points,
     is_refinement,
     make_scheme,
+    points_upto,
     polynomial_points,
     q_ratio_stats,
     refinement_map,
@@ -179,6 +180,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--instances must be >= 1")
     if cfg.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {cfg.seed}")
+    out = Path(cfg.out)
+    for p in (out, *out.parents):  # refused before any work, not when the reports are written
+        if p.exists() and not p.is_dir():
+            raise ConfigError(f"--out {out} cannot be made a directory: {p} is not one")
     return cfg
 
 
@@ -276,6 +281,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise _not_utf8(path, e, 0) from None
+    except OSError as e:
+        raise _unreadable(path, e) from None
 
 
 def _read_json(path: Path):
@@ -334,32 +341,36 @@ def _csv_lines(p: Path) -> Iterator[list[str]]:
     Lines end where `str.splitlines` ends them on the whole text: at \\n, \\r,
     \\r\\n, \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029. Text after a chunk's
     last line break begins the next chunk's first line. A decode error raises
-    InputError with the message that decoding the whole file gives.
+    InputError with the message that decoding the whole file gives, and so
+    does an OSError while the file is read.
     """
-    with open(p, "rb") as fh:
-        pos, undecoded, head = 0, b"", []  # head: pieces of a line not yet ended
-        while True:
-            chunk = fh.read(_CSV_CHUNK)
-            data = undecoded + chunk
-            try:  # at the end of the file, an unfinished character is an error
-                text, used = codecs.utf_8_decode(data, "strict", not chunk)
-            except UnicodeDecodeError as e:
-                raise _not_utf8(p, e, pos - len(undecoded)) from None
-            if not chunk:
-                break
-            pos, undecoded = pos + len(chunk), data[used:]
-            lines = text.splitlines()
-            # the last line runs on unless the text ends in a line break
-            tail = lines.pop() if lines and lines[-1] and text.endswith(lines[-1]) else None
-            if lines:
-                head.append(lines[0])
-                lines[0] = "".join(head)
-                head = []
-            if tail is not None:
-                head.append(tail)
-            yield [s for s in map(str.strip, lines) if s]
-        last = "".join(head).strip()
-        yield [last] if last else []
+    try:
+        with open(p, "rb") as fh:
+            pos, undecoded, head = 0, b"", []  # head: pieces of a line not yet ended
+            while True:
+                chunk = fh.read(_CSV_CHUNK)
+                data = undecoded + chunk
+                try:  # at the end of the file, an unfinished character is an error
+                    text, used = codecs.utf_8_decode(data, "strict", not chunk)
+                except UnicodeDecodeError as e:
+                    raise _not_utf8(p, e, pos - len(undecoded)) from None
+                if not chunk:
+                    break
+                pos, undecoded = pos + len(chunk), data[used:]
+                lines = text.splitlines()
+                # the last line runs on unless the text ends in a line break
+                tail = lines.pop() if lines and lines[-1] and text.endswith(lines[-1]) else None
+                if lines:
+                    head.append(lines[0])
+                    lines[0] = "".join(head)
+                    head = []
+                if tail is not None:
+                    head.append(tail)
+                yield [s for s in map(str.strip, lines) if s]
+            last = "".join(head).strip()
+            yield [last] if last else []
+    except OSError as e:
+        raise _unreadable(p, e) from None
 
 
 def _not_utf8(p: Path, e: UnicodeDecodeError, offset: int) -> InputError:
@@ -372,6 +383,10 @@ def _not_utf8(p: Path, e: UnicodeDecodeError, offset: int) -> InputError:
         where = f"bytes in position {start}-{end - 1}"
     return InputError(f"{p} is not UTF-8 text: '{e.encoding}' codec can't decode {where}: "
                       f"{e.reason}")
+
+
+def _unreadable(p: Path, e: OSError) -> InputError:
+    return InputError(f"cannot read {p}: {e.strerror or e}")
 
 
 def load_scheme(path: str) -> LacunaryScheme:
@@ -517,7 +532,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
     try:
         # every verdict of the family, searched before the suites run, so a
         # config the experiments below cannot use is refused first
-        scheme = make_scheme(2**j for j in range(length.bit_length()))
+        scheme = make_scheme(points_upto(geometric_points(2, 1), length))
         family = standard_family(length)
         table = evidence_table(family, scheme, policy)
         q_ratio_stats(scheme)
@@ -582,7 +597,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
             checks.append(("control: ramp is NotConvergentAtScale", good))
 
             try:
-                ratio_gate("lac1", make_scheme(r * r for r in range(1, 62)))
+                ratio_gate("lac1", first_blocks(polynomial_points(2), 60))
                 refused, note = False, "experiment unexpectedly ran"
             except HypothesisNotMet as e:
                 refused, note = True, str(e)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, takewhile
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "LacunaryScheme",
     "make_scheme",
     "geometric_points",
-    "compounding_points",
     "polynomial_points",
     "factorial_points",
     "points_upto",
@@ -103,28 +102,18 @@ def make_scheme(points: Iterable[int]) -> LacunaryScheme:
 # `first_blocks` stops them after a block count, `points_upto` at a point.
 
 
-def _grow(ratio: float, start: int, next_value: Callable[[int, int], float]) -> Iterator[int]:
-    """start, then max(k + 1, floor(next_value(j, k))) after each k = k_{j-1},
-    until that value passes MAX_POINT."""
+def geometric_points(ratio: float, start: int) -> Iterator[int]:
+    """Closed form k_j = floor(start * ratio**j), or k_{j-1} + 1 where that is
+    larger, up to MAX_POINT: 1, 2, 3, 4, 5, 7, 11, ... for ratio 1.5."""
     if not ratio > 1 or start < 1:
         raise ValueError("geometric schemes need ratio > 1 and start >= 1")
     p = start
     for j in count(1):
         yield p
-        v = next_value(j, p)
+        v = start * ratio**j
         if not v <= MAX_POINT:
             return
         p = max(p + 1, int(v))
-
-
-def geometric_points(ratio: float, start: int) -> Iterator[int]:
-    """Closed form k_j = floor(start * ratio**j): 1, 2, 3, 4, 5, 7, 11, ... for 1.5."""
-    return _grow(ratio, start, lambda j, p: start * ratio**j)
-
-
-def compounding_points(ratio: float, start: int) -> Iterator[int]:
-    """Compounding k_j = floor(k_{j-1} * ratio): 1, 2, 3, 4, 6, 9, 13, ... for 1.5."""
-    return _grow(ratio, start, lambda j, p: p * ratio)
 
 
 def polynomial_points(degree: int) -> Iterator[int]:

@@ -60,8 +60,8 @@ from .density import (
 )
 from .lacunary import (
     LacunaryScheme,
-    compounding_points,
     factorial_points,
+    geometric_points,
     make_scheme,
     points_upto,
     polynomial_points,
@@ -525,19 +525,16 @@ def random_sample(rng: np.random.Generator, max_length: int = 10_000) -> SeqSamp
 
 
 def random_scheme(rng: np.random.Generator, max_point: int) -> LacunaryScheme:
-    """Random compounding geometric, polynomial, or factorial scheme inside 1..max_point."""
+    """Random geometric, polynomial, or factorial scheme inside 1..max_point."""
     kind = rng.integers(0, 3)
     if kind == 0:
         ratio = float(rng.choice((1.5, 2.0, 3.0)))
-        points = compounding_points(ratio, int(rng.integers(1, 4)))
+        points = geometric_points(ratio, int(rng.integers(1, 4)))
     elif kind == 1:
         points = polynomial_points(int(rng.integers(2, 4)))
     else:
         points = factorial_points()
-    pts = points_upto(points, max_point)
-    if len(pts) < 2:
-        pts = [1, max(2, max_point)]
-    return make_scheme(pts)
+    return make_scheme(points_upto(points, max_point))
 
 
 def random_refinement(rng: np.random.Generator,

@@ -1,9 +1,11 @@
 """End-to-end checks of the command line: exit codes, report shapes, determinism."""
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing
 import os
+import pkgutil
 import shutil
 import subprocess
 import sys
@@ -343,6 +345,63 @@ class TestCsvLoad:
         assert x.length == 2**18
         assert peak < 6 * x.values.nbytes
 
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    @pytest.mark.parametrize("where", ["open", "read"])
+    def test_unreadable_input_is_input_error(self, tmp_path, capsys, monkeypatch,
+                                             suffix, where):
+        # file permissions do not stop a root user, so the read itself is made to fail
+        path = tmp_path / f"seq{suffix}"
+        path.write_text("1.0\n" * 100 if suffix == ".csv" else
+                        json.dumps({"kind": "constant", "value": 1.0}))
+
+        class Unreadable:
+            def __init__(self, *args, **kwargs):
+                if where == "open":
+                    raise PermissionError(13, "Permission denied")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, *args):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(cli, "open", Unreadable, raising=False)
+        monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: Unreadable().read())
+        out = tmp_path / "o"
+        rc = main(["analyze", "--input", str(path), "--length", "100", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_INPUT, "")
+        assert_one_line_input_error(captured.err)
+        assert str(path) in captured.err
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", [
+        ["scheme", "--scheme", "s.json"],
+        ["analyze", "--input", "c.json", "--length", "100"],
+        ["verify", "--instances", "1"],
+    ], ids=["scheme", "analyze", "verify"])
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    def test_out_that_cannot_be_a_directory_is_config_error(self, tmp_path, monkeypatch,
+                                                            capsys, command, out):
+        # it ended in FileExistsError or NotADirectoryError and exit 1, after the work
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "s.json", DYADIC_POINTS)
+        write_json(tmp_path / "c.json", {"kind": "constant", "value": 2.0})
+        (tmp_path / "afile").write_text("x\n")
+        before = sorted(tmp_path.rglob("*"))
+        rc = main([*command, "--out", out])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (EXIT_CONFIG, "")
+        assert captured.err == (f"config error: --out {out} cannot be made a directory: "
+                                "afile is not one\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "afile").read_text() == "x\n"
+
 
 class TestScheme:
     def test_single_scheme_table(self, tmp_path):
@@ -585,6 +644,15 @@ def run_declared_entry_point(*args):
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_every_exported_name_resolves():
+    modules = [arithstat] + [importlib.import_module(f"arithstat.{m.name}")
+                             for m in pkgutil.iter_modules(arithstat.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert sum(hasattr(m, "__all__") for m in modules) >= 6  # the package and five modules
 
 
 class TestConsoleScript:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from arithstat.kernel import GcdPeriodic, SparseSpike, divisors, generate
+from arithstat.kernel import GcdPeriodic, SeqSample, SparseSpike, divisors, generate
 from arithstat.density import (
     Outcome,
     VerdictPolicy,
@@ -254,6 +254,16 @@ class TestUniformLimit:
             [Composition(Clamp(0.0, 1.0), Affine(1.0, 1.0 / m)) for m in range(1, 33)],
             Clamp(0.0, 1.0), x, SCHEME, 1, 0.75, self.PROBE,
         )
+        assert rep.passed
+
+    def test_cover_uses_eps_over_three(self):
+        # f_1 is off by 0.2 < eps/3 = 0.25 at both sample values, so no set of
+        # approximation errors holds a block member; only the deviation of f_1,
+        # |0.55 - 0.2| = 0.35, covers every m >= 2, and only because 0.35 >= eps/3
+        x = SeqSample([0.0] + [0.75] * 15)
+        rep = uniform_limit_check([Tabulated((0.0, 0.75), (0.2, 0.55))], Affine(1.0, 0.0),
+                                  x, make_scheme([1, 2, 4, 8, 16]), 1, 0.75)
+        assert (rep.instance["approximant_index"], rep.instance["sup_error"]) == (1, 0.2)
         assert rep.passed
 
     def test_refuses_when_no_member_is_close(self):

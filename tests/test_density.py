@@ -290,6 +290,13 @@ class TestAscVerdict:
         with pytest.raises(KeyError):
             v.tail_of(0.3)
 
+    def test_tail_equal_to_tol_converges(self):
+        # 4 of 16 values deviate from x_1: the one-point tail is exactly 0.25
+        policy = VerdictPolicy(tail_window=1, tol=0.25, tol_hi=0.5, n_max=1, grid=(1.0,))
+        v = asc_verdict(SeqSample([0.0] * 12 + [1.0] * 4), policy)
+        assert v.tail_densities == ((1.0, 0.25),)
+        assert (v.outcome, v.witness) == (Outcome.CONVERGENT, 1)
+
     def test_witness_iff_convergent_invariant(self):
         with pytest.raises(ValueError, match="witness"):
             ConvergenceVerdict(

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from arithstat.density import coarse_block_density_from_fine
 from arithstat.kernel import SeqSample
 from arithstat.lacunary import (
+    MAX_POINT,
     block_intersections,
+    geometric_points,
     is_refinement,
     make_scheme,
     q_ratio_stats,
@@ -63,6 +66,24 @@ class TestScheme:
         # arithmetic progression: constant block lengths, not lacunary-looking
         assert make_scheme(range(10, 200, 10)).advisory_flag is True
         assert make_scheme([1, 50, 60, 65]).advisory_flag is True
+
+
+class TestGenerators:
+    def test_geometric_points_take_the_closed_form(self):
+        # floor(1.5**j), bumped by one where it would not grow
+        assert list(islice(geometric_points(1.5, 1), 9)) == [1, 2, 3, 4, 5, 7, 11, 17, 25]
+        assert list(islice(geometric_points(2, 3), 5)) == [3, 6, 12, 24, 48]
+        assert list(islice(geometric_points(1.01, 1), 4)) == [1, 2, 3, 4]
+
+    def test_geometric_points_stop_at_the_largest_point(self):
+        points = list(geometric_points(2, 1))
+        assert points == [2**j for j in range(63)]
+        assert points[-1] <= MAX_POINT < 2 * points[-1]
+
+    @pytest.mark.parametrize("ratio, start", [(1.0, 1), (0.5, 1), (math.nan, 1), (2.0, 0)])
+    def test_geometric_points_refuse_bad_growth(self, ratio, start):
+        with pytest.raises(ValueError, match="ratio > 1 and start >= 1"):
+            next(geometric_points(ratio, start))
 
 
 class TestQRatioStats:

@@ -12,11 +12,22 @@ field of the verdict policy, those of `scheme-refinement` before a
 refinement map came to be computed as the block intersections of a
 refinement, and those of `verify-contradiction` before the inclusion
 experiments and continuity batteries came to read each verdict pair with one
-rule. Every `verify` digest predates the shared verdicts: it was
+rule. Every `verify` stdout digest predates the shared verdicts: it was
 recorded while each experiment and battery still searched its own input
-verdicts, before `verify` searched them once into one evidence table. Any change to a verdict, a density, a scheme generator or a suite
-draw shows up as a changed digest. The `verify` digests hold whether the
-suites run in this process or in worker processes.
+verdicts, before `verify` searched them once into one evidence table.
+
+The five `verify_report.json` digests were recorded again when the random
+schemes of the property suites came to draw the closed-form
+`geometric_points` (k_j = floor(start * ratio**j)) in place of a compounding
+generator (k_j = floor(k_{j-1} * ratio)). The two differ only at ratio 1.5
+(1, 2, 3, 4, 5, 7, 11, ... against 1, 2, 3, 4, 6, 9, 13, ...), so only the
+suite tallies of those draws moved, and every stdout line stayed the same.
+The new digests equal those of the older code with its compounding generator
+replaced by `geometric_points`, with one suite worker and with two.
+
+Any change to a verdict, a density, a scheme generator or a suite draw shows
+up as a changed digest. The `verify` digests hold whether the suites run in
+this process or in worker processes.
 """
 from __future__ import annotations
 
@@ -99,26 +110,26 @@ EXPECTED = {
     "scheme-refinement/scheme_report.json":
         "eec76d444cff1596b4a1f33327dd6e8e018958f8165cdb61c5d3eec993b31919",
     "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
-    "verify/verify_report.json": "5a4bd89459549451ff068ff44887348d32f9e96f75495af707f7f063cb0bfad0",
+    "verify/verify_report.json": "db12b3ae3dec23b0c1045c0c29332bf456ea179ffc91d8b62b87a25bd76c484d",
     "verify-100/stdout": "8eaa9a8c645b5f6a68454222aeaf84d1273ebae0dc0ccad53ef594637e7c71c4",
     "verify-100/verify_report.json":
-        "851c1e53b75bd1fcbdfb60f2682ca6ae99d3d622113315cd0a6bb2b349f23a02",
+        "06c54bedd08c6b7a474d245d2bd6a06ed6a17408d005ee5cc10f215d02ffa36c",
     "analyze-noise/stdout": "dca6dbcc3b749ac4cae19ddcc3b916993900749ede16a992bf59f9adfbce793e",
     "analyze-noise/curves.csv": "b433d07852aaf9136805c742c63c0511766006ecfb2477b46850994d504508a4",
     "analyze-noise/report.json": "620cf388d13b188a5f79839d9d391b23f436d0c731df916991bc3ca3875efb4b",
     "verify-fault/stdout": "02e613ed711535c8d1588fcfc176e11b86dfa65a7f81d00bf9e7d9962d9dc951",
     "verify-fault/verify_report.json":
-        "d783be0c06ef36fd847927703f33cba6b6d3c5fc23f16e655e2e671d6b55fad4",
+        "8b9b02ce68aff338e6bb0adf5513fba0720d8b56a451a61be647f56c03c44d7a",
     "analyze-grid/stdout": "e3c5bec14784af90a5b092e2061909faab1eb5d9702b4ce17dcfbd9d78d3be4d",
     "analyze-grid/curves.csv": "17efe672bcc0ef87b1be48efb1189687845c4baa75258d463b6f895370e94bc2",
     "analyze-grid/report.json": "faa0fbd20720f504d9f4e83986f46b9a4d55400510e2680210497056948c54b2",
     "verify-grid/stdout": "80f95e4bd99f281a3b83ffb410ddbfe1ffcfd79b652235bbc00918e64e10fd5d",
     "verify-grid/verify_report.json":
-        "9cd958835c1420e5e16a50768d79881458d59963b979b26755d09c8f49c34fbc",
+        "ff90a71c72d0888cf35a7dd5c4c7418173e973cc90c532fa996dc9ec2ff2df82",
     "verify-contradiction/stdout":
         "2eb540336b7d1eb7d1eea3b3ddc3efbe5810dadb4973edcfe4816e3dcbb6d951",
     "verify-contradiction/verify_report.json":
-        "cd0d071da6488ab306478ea2a01df82ee37b7cb34caaeba822eb894eb677f676",
+        "a3923846ff9c280e34d03630c00c429ca175dfdd8922edc79dd42a0b415d71ae",
 }
 
 

@@ -20,7 +20,13 @@ from arithstat.kernel import (
 )
 from arithstat.density import Outcome, VerdictPolicy
 from arithstat import theorems
-from arithstat.lacunary import make_scheme
+from arithstat.lacunary import (
+    factorial_points,
+    geometric_points,
+    make_scheme,
+    points_upto,
+    polynomial_points,
+)
 from arithstat.theorems import (
     MAX_LIMSUP,
     MIN_LIMINF,
@@ -189,6 +195,19 @@ class TestMarkovStep:
         s = make_scheme([1, 4])
         [rep] = check_markov_step(x, s, 1, 1.0)
         assert rep.passed
+
+    def test_counts_equal_a_recount_at_the_threshold(self, monkeypatch):
+        # with every block sum patched to 0, each block fails with lhs = eps times
+        # its count of deviations >= eps, and every deviation counted is exactly eps
+        vals, points, n, eps = [0, .5, .25, .5, .5, 0, .5, .5], [1, 2, 4, 8], 1, 0.5
+        monkeypatch.setattr(theorems, "_interval_fsums", lambda dev, iv: np.zeros(iv.lo.size))
+        reports = check_markov_step(SeqSample(vals), make_scheme(points), n, eps)
+        recount = [sum(abs(vals[m - 1] - vals[math.gcd(m, n) - 1]) >= eps
+                       for m in range(lo + 1, hi + 1)) for lo, hi in zip(points, points[1:])]
+        assert recount == [1, 1, 3]
+        assert [rep.passed for rep in reports] == [False] * 3
+        assert [rep.witness for rep in reports] == [
+            {"lhs": eps * c, "rhs": 0.0} for c in recount]
 
 
 class TestLac1Bound:
@@ -395,7 +414,17 @@ class TestRandomInstances:
         rng = np.random.default_rng(5)
         for _ in range(50):
             s = random_scheme(rng, 777)
-            assert s.points[-1] <= 777 or s.block_count == 1
+            assert s.points[-1] <= 777
+
+    def test_random_schemes_come_from_the_scheme_file_generators(self):
+        # so a failing suite instance can be written back as a scheme file
+        bound = 10_000
+        generated = [geometric_points(r, s) for r in (1.5, 2.0, 3.0) for s in (1, 2, 3)]
+        generated += [polynomial_points(2), polynomial_points(3), factorial_points()]
+        known = {tuple(points_upto(g, bound)) for g in generated}
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            assert random_scheme(rng, bound).points in known
 
 
 class TestPropertySuites:
