@@ -59,6 +59,7 @@ from .theorems import (
     check_delta_transfer,
     check_lac1_bound,
     check_markov_step,
+    check_refinement_aggregation,
     check_scalar_closure,
     check_sum_closure,
     evidence_table,
@@ -101,8 +102,9 @@ __all__ = [
     "density_curve", "ntheta_norm", "prefix_checkpoints",
     "CheckReport", "Evidence", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
-    "check_scalar_closure", "check_sum_closure", "evidence_table", "ramp_sample",
-    "ratio_gate", "run_inclusion_experiment", "run_property_suite", "standard_family",
+    "check_refinement_aggregation", "check_scalar_closure", "check_sum_closure",
+    "evidence_table", "ramp_sample", "ratio_gate", "run_inclusion_experiment",
+    "run_property_suite", "standard_family",
     "Affine", "Clamp", "Composition", "ContinuityReport", "FnDifference",
     "FnSum", "Polynomial", "RealFunction", "Tabulated", "apply_fn",
     "closure_checks", "continuity_battery", "crossing_sequence", "describe_fn",

@@ -15,7 +15,7 @@ import json
 import sys
 from collections import deque
 from collections.abc import Iterator
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -396,16 +396,25 @@ def load_scheme(path: str) -> LacunaryScheme:
     return parse_scheme_spec(_read_json(p))
 
 
+@contextmanager
+def _written(path: Path, **kwargs) -> Iterator:
+    """`path` opened for writing under its made parents; an OSError is a ConfigError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with _written(path) as fh:
         json.dump(obj, fh, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with _written(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
@@ -520,15 +529,9 @@ def _injected_scaling_report() -> CheckReport:
     )
 
 
-def _ok_line(label: str, ok: bool) -> bool:
-    print(f"{'PASS' if ok else 'FAIL'}  {label}")
-    return ok
-
-
 def cmd_verify(cfg: RunConfig) -> bool:
     length = cfg.length
     policy = cfg.policy
-    ok = True
     try:
         # every verdict of the family, searched before the suites run, so a
         # config the experiments below cannot use is refused first
@@ -617,27 +620,24 @@ def cmd_verify(cfg: RunConfig) -> bool:
         rep = _injected_scaling_report()
         if not rep.passed:
             suites["scalar_closure"].failures.append(rep)
-    suites_report = {}
-    for name, res in suites.items():
-        suites_report[name] = res.to_dict()
-        ok &= _ok_line(f"property {name} ({res.instances} instances)", res.passed)
-
-    for label, good in checks:
-        ok &= _ok_line(label, good)
-
+    lines = [(f"property {name} ({res.instances} instances)", res.passed)
+             for name, res in suites.items()] + checks
+    ok = all(good for _, good in lines)
     report = {
         "schema": 1,
         "config": cfg.to_dict(),
         "family_length": length,
         "scheme_points": list(scheme.points),
-        "property_suites": suites_report,
+        "property_suites": {name: res.to_dict() for name, res in suites.items()},
         "inclusion_experiments": experiments,
         "continuity": continuity_report,
         "negative_controls": controls,
         "verified": ok,
     }
     out = Path(cfg.out)
-    _write_json(out / "verify_report.json", report)
+    _write_json(out / "verify_report.json", report)  # a failed write prints no line
+    for label, good in lines:
+        print(f"{'PASS' if good else 'FAIL'}  {label}")
     print(f"wrote {out / 'verify_report.json'}")
     print(f"verification: {'OK' if ok else 'FAILED'}")
     return ok

@@ -77,6 +77,7 @@ __all__ = [
     "check_markov_step",
     "check_lac1_bound",
     "check_delta_transfer",
+    "check_refinement_aggregation",
     "Evidence",
     "evidence_table",
     "verdict_status",
@@ -87,12 +88,9 @@ __all__ = [
     "standard_family",
     "ramp_sample",
     "SuiteResult",
-    "scalar_closure_suite",
-    "sum_closure_suite",
-    "markov_step_suite",
-    "refinement_aggregation_suite",
-    "delta_transfer_suite",
-    "lac1_bound_suite",
+    "Suite",
+    "SUITES",
+    "run_suite",
     "run_property_suite",
 ]
 
@@ -100,7 +98,7 @@ __all__ = [
 MIN_LIMINF = 1.05
 #: Finite surrogate for "limsup q_r finite": the tail maximum must stay below this.
 MAX_LIMSUP = 64.0
-#: Largest gap the refinement suite allows between an aggregated coarse block
+#: Largest gap the refinement check allows between an aggregated coarse block
 #: density and the directly counted one, which differ only by float rounding.
 AGGREGATION_TOLERANCE = 1e-12
 
@@ -260,6 +258,27 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
                  "lhs": float(lhs), "rhs": float(rhs)},
             )
     return CheckReport("delta_transfer", instance, True)
+
+
+def check_refinement_aggregation(x: SeqSample, coarse: LacunaryScheme, fine: LacunaryScheme,
+                                 n: int, eps: float) -> list[CheckReport]:
+    """Each coarse block density aggregated from its fine blocks equals the counted one.
+
+    One report per coarse block inside the sample, in order; the two differ only by
+    float rounding, so a gap above AGGREGATION_TOLERANCE fails. Every report's
+    witness holds both densities and their gap.
+    """
+    aggregated = coarse_block_density_from_fine(x, refinement_map(coarse, fine), n, eps)
+    counted = density_curve(x, n, eps, "block", coarse).values
+    schemes = {"coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine)}
+    return [
+        CheckReport("refinement_aggregation",
+                    {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
+                     **schemes},
+                    not abs(agg - direct) > AGGREGATION_TOLERANCE,
+                    {"aggregated": agg, "direct": direct, "error": abs(agg - direct)})
+        for r, (agg, direct) in enumerate(zip(aggregated, counted), 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -580,129 +599,83 @@ class SuiteResult:
         }
 
 
-def _run_suite(name: str, seed: int, instances: int, max_length: int,
-               draw: Callable[[np.random.Generator, SeqSample], tuple],
-               check: Callable[..., Iterable[CheckReport]],
-               measure: Callable[[CheckReport], float] | None = None,
-               ) -> tuple[SuiteResult, int, tuple[float, float]]:
-    """Drive one randomized suite, keeping only its failed reports.
-
-    Each instance draws a sample, then the suite's own parameters (`draw`),
-    then a witness n and an epsilon; `check(x, *params, n, eps)` yields one
-    report per check. Returns the result, the number of checks, and the
-    (min, max) of `measure` over all reports ((inf, -inf) without one).
+@dataclass(frozen=True, eq=False)
+class Suite:
+    """One randomized suite: `draw(rng, x)` gives the keyword parameters of
+    `check(x, **params, n=n, eps=eps)`, a `half` suite runs max(50, instances // 2)
+    instances, and `extra(checks, low, high)` gives the result's extra keys from the
+    report count and the (min, max) of `measure` over the reports ((inf, -inf) without one).
     """
+
+    draw: Callable[[np.random.Generator, SeqSample], dict]
+    check: Callable[..., Iterable[CheckReport]]
+    half: bool = False
+    measure: Callable[[CheckReport], float] | None = None
+    extra: Callable[[int, float, float], dict] = lambda checks, low, high: {}
+
+
+def _draw_refinement(rng: np.random.Generator, x: SeqSample) -> dict:
+    return dict(zip(("coarse", "fine"), random_refinement(rng, x.length)))
+
+
+def _draw_scheme(rng: np.random.Generator, x: SeqSample) -> dict:
+    return {"scheme": random_scheme(rng, x.length)}
+
+
+def _blocks_checked(checks: int, low: float, high: float) -> dict:
+    return {"blocks_checked": checks}
+
+
+#: The randomized suites in report order; suite i runs under seed + i.
+SUITES: dict[str, Suite] = {
+    # scales +-{0.5, 1, 3, 10}, and 0 one time in twenty
+    "scalar_closure": Suite(lambda rng, x: {
+        "scheme": random_scheme(rng, x.length),
+        "c": float(rng.choice(_SCALE_CHOICES)) if rng.random() > 0.05 else 0.0,
+    }, check_scalar_closure),
+    "sum_closure": Suite(lambda rng, x: {
+        "y": generate(random_generator_spec(rng), x.length),
+        "scheme": random_scheme(rng, x.length),
+    }, check_sum_closure),
+    "markov_step": Suite(_draw_scheme, check_markov_step, extra=_blocks_checked),
+    "refinement_aggregation": Suite(
+        _draw_refinement, check_refinement_aggregation, half=True,
+        measure=lambda rep: rep.witness["error"],
+        extra=lambda checks, low, high: {"max_error": max(0.0, high),
+                                         "tolerance": AGGREGATION_TOLERANCE}),
+    # self and singleton refinements included
+    "delta_transfer": Suite(
+        _draw_refinement, lambda x, **params: [check_delta_transfer(x, **params)], half=True,
+        measure=lambda rep: rep.instance["delta"],
+        extra=lambda checks, low, high: {"min_delta": low, "max_delta": high}),
+    "lac1_bound": Suite(_draw_scheme, check_lac1_bound, half=True, extra=_blocks_checked),
+}
+
+
+def run_suite(name: str, seed: int, instances: int, max_length: int) -> SuiteResult:
+    """Run `SUITES[name]`, looked up where it runs, keeping only its failed reports.
+
+    Each instance draws a sample, then the suite's own parameters, then a
+    witness n and an epsilon, all from one rng seeded with `seed`.
+    """
+    suite = SUITES[name]
     rng = np.random.default_rng(seed)
     result = SuiteResult(name, instances)
     checks, low, high = 0, math.inf, -math.inf
     for _ in range(instances):
         x = random_sample(rng, max_length=max_length)
-        params = draw(rng, x)
+        params = suite.draw(rng, x)
         n = int(rng.integers(1, 17))
         eps = float(rng.choice(_EPS_CHOICES))
-        for rep in check(x, *params, n, eps):
+        for rep in suite.check(x, **params, n=n, eps=eps):
             checks += 1
-            if measure is not None:
-                v = measure(rep)
+            if suite.measure is not None:
+                v = suite.measure(rep)
                 low, high = min(low, v), max(high, v)
             if not rep.passed:
                 result.failures.append(rep)
-    return result, checks, (low, high)
-
-
-def _block_suite(name: str, check_fn: Callable[..., list[CheckReport]], seed: int,
-                 instances: int, max_length: int) -> SuiteResult:
-    """check_fn on every block of a random scheme, for each random instance."""
-    result, blocks, _ = _run_suite(
-        name, seed, instances, max_length,
-        lambda rng, x: (random_scheme(rng, x.length),), check_fn)
-    result.extra["blocks_checked"] = blocks
+    result.extra.update(suite.extra(checks, low, high))
     return result
-
-
-def scalar_closure_suite(seed: int, instances: int = 1000,
-                         max_length: int = 10_000) -> SuiteResult:
-    """Scaling identity on random instances, both axes, scales +-{0.5, 1, 3, 10}."""
-    def draw(rng, x):
-        scheme = random_scheme(rng, x.length)
-        return scheme, float(rng.choice(_SCALE_CHOICES)) if rng.random() > 0.05 else 0.0
-
-    return _run_suite(
-        "scalar_closure", seed, instances, max_length, draw,
-        lambda x, scheme, c, n, eps: check_scalar_closure(x, c, n, eps, scheme))[0]
-
-
-def sum_closure_suite(seed: int, instances: int = 1000,
-                      max_length: int = 10_000) -> SuiteResult:
-    """Subadditivity of exceedance on random pairs, both axes."""
-    def draw(rng, x):
-        y = generate(random_generator_spec(rng), x.length)
-        return y, random_scheme(rng, x.length)
-
-    return _run_suite(
-        "sum_closure", seed, instances, max_length, draw,
-        lambda x, y, scheme, n, eps: check_sum_closure(x, y, n, eps, scheme))[0]
-
-
-def markov_step_suite(seed: int, instances: int = 1000,
-                      max_length: int = 10_000) -> SuiteResult:
-    """Counting bound on every block of every random instance."""
-    return _block_suite("markov_step", check_markov_step, seed, instances, max_length)
-
-
-def lac1_bound_suite(seed: int, instances: int = 500,
-                     max_length: int = 10_000) -> SuiteResult:
-    """Prefix-vs-block bound on every block of every random instance."""
-    return _block_suite("lac1_bound", check_lac1_bound, seed, instances, max_length)
-
-
-def refinement_aggregation_suite(seed: int, instances: int = 500,
-                                 max_length: int = 10_000) -> SuiteResult:
-    """Aggregated coarse density equals the direct one within AGGREGATION_TOLERANCE."""
-    def check(x, coarse, fine, n, eps):
-        aggregated = coarse_block_density_from_fine(x, refinement_map(coarse, fine), n, eps)
-        counted = density_curve(x, n, eps, "block", coarse).values
-        for r, (agg, direct) in enumerate(zip(aggregated, counted), 1):
-            err = abs(agg - direct)
-            yield CheckReport(
-                "refinement_aggregation",
-                {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
-                 "r": r, "coarse": _scheme_preview(coarse),
-                 "fine": _scheme_preview(fine)},
-                not err > AGGREGATION_TOLERANCE,
-                {"aggregated": agg, "direct": direct, "error": err},
-            )
-
-    result, _, (_, worst) = _run_suite(
-        "refinement_aggregation", seed, instances, max_length,
-        lambda rng, x: random_refinement(rng, x.length), check,
-        lambda rep: rep.witness["error"])
-    result.extra["max_error"] = max(0.0, worst)
-    result.extra["tolerance"] = AGGREGATION_TOLERANCE
-    return result
-
-
-def delta_transfer_suite(seed: int, instances: int = 500,
-                         max_length: int = 10_000) -> SuiteResult:
-    """Exact delta transfer on random refinements (self and singleton cases included)."""
-    result, _, (low, high) = _run_suite(
-        "delta_transfer", seed, instances, max_length,
-        lambda rng, x: random_refinement(rng, x.length),
-        lambda x, coarse, fine, n, eps: (check_delta_transfer(x, coarse, fine, n, eps),),
-        lambda rep: rep.instance["delta"])
-    result.extra["min_delta"] = low
-    result.extra["max_delta"] = high
-    return result
-
-
-#: The randomized suites in report order; suite i runs under seed + i.
-SUITES = ("scalar_closure", "sum_closure", "markov_step", "refinement_aggregation",
-          "delta_transfer", "lac1_bound")
-
-
-def _run_named_suite(name: str, *args) -> SuiteResult:
-    """`<name>_suite(*args)`, looked up where it runs: a worker gets only the name."""
-    return globals()[f"{name}_suite"](*args)
 
 
 def _usable_cpus() -> int:
@@ -713,13 +686,13 @@ def _usable_cpus() -> int:
 
 def run_property_suite(seed: int = 0, *, instances: int = 1000, max_length: int = 10_000,
                        meanwhile: Callable[[], object] = lambda: None) -> dict[str, SuiteResult]:
-    """All six randomized suites, by name in SUITES order, while `meanwhile()` runs here.
+    """Every suite of SUITES through `run_suite`, by name in order, while `meanwhile()` runs here.
 
-    The first three run `instances` instances, the last three max(50, instances // 2).
-    They run in forked workers, one per suite up to the usable CPUs, that keep this
-    process's imports and patches; with one CPU or no fork, here after `meanwhile()`.
-    Each has its own rng, so where it ran does not change its result. No worker
-    outlives the call, and an error cancels the suites not yet started."""
+    Each runs `instances` instances, or max(50, instances // 2) where its row is `half`,
+    in forked workers, one per suite up to the usable CPUs, that keep this process's
+    imports and patches and look up `SUITES[name]` themselves; with one CPU or no fork,
+    here after `meanwhile()`. Each has its own rng, so where it ran does not change its
+    result. No worker outlives the call, and an error cancels the suites not yet started."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -730,7 +703,8 @@ def run_property_suite(seed: int = 0, *, instances: int = 1000, max_length: int 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             stack.callback(pool.shutdown, cancel_futures=True)
             suite_map = pool.map
-        results = suite_map(_run_named_suite, SUITES, range(seed, seed + 6),
-                            (instances,) * 3 + (max(50, instances // 2),) * 3, [max_length] * 6)
+        counts = [max(50, instances // 2) if s.half else instances for s in SUITES.values()]
+        results = suite_map(run_suite, SUITES, range(seed, seed + len(SUITES)), counts,
+                            [max_length] * len(SUITES))
         meanwhile()
         return dict(zip(SUITES, results))

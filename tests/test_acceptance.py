@@ -36,13 +36,8 @@ from arithstat.theorems import (
     ramp_sample,
     ratio_gate,
     run_inclusion_experiment,
+    run_suite,
     standard_family,
-    delta_transfer_suite,
-    lac1_bound_suite,
-    markov_step_suite,
-    refinement_aggregation_suite,
-    scalar_closure_suite,
-    sum_closure_suite,
 )
 
 T_COROLLARY = 2**16 + 1
@@ -65,7 +60,7 @@ def family():
 
 def test_scaling_identity_is_exact():
     t0 = time.perf_counter()
-    suite = scalar_closure_suite(0, instances=1000, max_length=10_000)
+    suite = run_suite("scalar_closure", 0, 1000, 10_000)
     elapsed = time.perf_counter() - t0
     criterion(
         "scaling identity exact on 1000 instances, both axes, under 10 s",
@@ -75,7 +70,7 @@ def test_scaling_identity_is_exact():
 
 def test_sum_inclusion_is_exact():
     t0 = time.perf_counter()
-    suite = sum_closure_suite(1, instances=1000, max_length=10_000)
+    suite = run_suite("sum_closure", 1, 1000, 10_000)
     elapsed = time.perf_counter() - t0
     criterion(
         "sum exceedance inclusion exact on 1000 pairs, under 10 s",
@@ -84,7 +79,7 @@ def test_sum_inclusion_is_exact():
 
 
 def test_markov_step_on_every_block():
-    suite = markov_step_suite(2, instances=1000, max_length=10_000)
+    suite = run_suite("markov_step", 2, 1000, 10_000)
     criterion(
         "Markov step holds on every block of 1000 instances",
         suite.passed and suite.extra["blocks_checked"] > 0,
@@ -92,7 +87,7 @@ def test_markov_step_on_every_block():
 
 
 def test_refinement_aggregation_identity():
-    suite = refinement_aggregation_suite(3, instances=500, max_length=10_000)
+    suite = run_suite("refinement_aggregation", 3, 500, 10_000)
     criterion(
         "coarse-from-fine aggregation within 1e-12 on 500 triples",
         suite.passed and suite.extra["max_error"] <= 1e-12,
@@ -100,7 +95,7 @@ def test_refinement_aggregation_identity():
 
 
 def test_delta_transfer_including_edge_cases():
-    suite = delta_transfer_suite(4, instances=500, max_length=10_000)
+    suite = run_suite("delta_transfer", 4, 500, 10_000)
     criterion(
         "delta transfer exact on 500 refinements incl. delta = 1 and singleton blocks",
         suite.passed
@@ -110,7 +105,7 @@ def test_delta_transfer_including_edge_cases():
 
 
 def test_lac1_per_block_bound():
-    suite = lac1_bound_suite(5, instances=500, max_length=10_000)
+    suite = run_suite("lac1_bound", 5, 500, 10_000)
     criterion(
         "lac1 prefix-vs-block bound exact on all blocks of 500 instances",
         suite.passed and suite.extra["blocks_checked"] > 0,

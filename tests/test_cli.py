@@ -6,12 +6,14 @@ import json
 import multiprocessing
 import os
 import pkgutil
+import re
 import shutil
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arithstat
@@ -29,7 +31,7 @@ from arithstat.cli import (
 )
 from arithstat.kernel import SparseSpike, generate
 from arithstat.lacunary import MAX_BLOCKS
-from arithstat.theorems import SuiteResult
+from arithstat.theorems import Suite, random_sample
 
 DYADIC_POINTS = {"points": [1, 2, 4, 8, 16]}
 GEOMETRIC_10 = {"geometric": {"ratio": 2.0, "count": 10, "start": 1}}
@@ -402,6 +404,37 @@ class TestOutputDirectory:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "x\n"
 
+    @pytest.mark.parametrize("command, first_written", [
+        (["scheme", "--scheme", "s.json"], "scheme_1.csv"),
+        (["analyze", "--input", "c.json", "--length", "100"], "report.json"),
+        (["verify", "--instances", "1", "--length", "513"], "verify_report.json"),
+    ], ids=["scheme", "analyze", "verify"])
+    def test_out_that_cannot_be_made_is_config_error(self, tmp_path, monkeypatch, capsys,
+                                                     command, first_written):
+        # it ended in PermissionError and exit 1; root ignores permission bits,
+        # so the refusal is patched in
+        def refused(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "s.json", DYADIC_POINTS)
+        write_json(tmp_path / "c.json", {"kind": "constant", "value": 2.0})
+        monkeypatch.setattr(Path, "mkdir", refused)
+        rc = main([*command, "--out", "o"])
+        assert (rc, capsys.readouterr()) == (EXIT_CONFIG, (
+            "", f"config error: cannot write o/{first_written}: Permission denied\n"))
+
+    def test_a_failed_write_of_the_verify_report_prints_no_line(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def full(obj, fh, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli.json, "dump", full)
+        rc = main(["verify", "--instances", "1", "--length", "513", "--out", "o"])
+        assert (rc, capsys.readouterr()) == (EXIT_CONFIG, (
+            "", "config error: cannot write o/verify_report.json: No space left on device\n"))
+
 
 class TestScheme:
     def test_single_scheme_table(self, tmp_path):
@@ -540,8 +573,8 @@ class TestVerify:
         about the workers, not about what the suites check."""
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
         for name in theorems.SUITES:
-            monkeypatch.setattr(theorems, f"{name}_suite", lambda seed, instances, max_length,
-                                name=name: SuiteResult(name, instances))
+            monkeypatch.setitem(theorems.SUITES, name, Suite(lambda rng, x: {},
+                                                             lambda x, n, eps: ()))
 
     @pytest.mark.parametrize("flags, code", [
         ((), EXIT_OK),
@@ -562,11 +595,12 @@ class TestVerify:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_outlives_a_failing_suite(self, tmp_path, monkeypatch, two_quick_workers):
-        def broken(seed, instances, max_length):
-            raise RuntimeError(f"suite broke at seed {seed}")
+        def broken(rng, x):
+            raise RuntimeError(f"suite broke on {x.recipe}")
 
-        monkeypatch.setattr(theorems, "delta_transfer_suite", broken)
-        with pytest.raises(RuntimeError, match="suite broke at seed 4"):
+        monkeypatch.setitem(theorems.SUITES, "delta_transfer", Suite(broken, lambda x, n, eps: ()))
+        first = random_sample(np.random.default_rng(4), max_length=10_000)  # seed 0 + suite 4
+        with pytest.raises(RuntimeError, match=re.escape(f"suite broke on {first.recipe}")):
             main(["verify", "--length", "513", "--out", str(tmp_path / "out")])
         assert multiprocessing.active_children() == []
         assert not (tmp_path / "out").exists()

@@ -30,11 +30,13 @@ from arithstat.lacunary import (
 from arithstat.theorems import (
     MAX_LIMSUP,
     MIN_LIMINF,
+    CheckReport,
     HypothesisNotMet,
-    SuiteResult,
+    Suite,
     check_delta_transfer,
     check_lac1_bound,
     check_markov_step,
+    check_refinement_aggregation,
     check_scalar_closure,
     check_sum_closure,
     evidence_table,
@@ -253,6 +255,32 @@ class TestDeltaTransfer:
             check_delta_transfer(x, make_scheme([5, 9]), make_scheme([5, 7, 9]), 1, 0.5)
 
 
+COARSE_5 = make_scheme([1, 4, 16, 64, 256, 1024])
+FINE_10 = make_scheme(sorted(set(COARSE_5.points) | {2, 9, 40, 100, 500}))
+
+
+class TestRefinementAggregation:
+    def test_one_passing_report_per_coarse_block_inside_the_sample(self):
+        x = gcdper(6, 300)  # blocks (1, 4] to (64, 256] fit, (256, 1024] does not
+        reports = check_refinement_aggregation(x, COARSE_5, FINE_10, 1, 0.5)
+        assert [rep.instance["r"] for rep in reports] == [1, 2, 3, 4]
+        assert all(rep.passed for rep in reports)
+        assert any(rep.witness["direct"] > 0 for rep in reports)
+
+    def test_an_aggregate_off_by_1e_9_fails_every_block(self, monkeypatch):
+        def off(*args, fn=theorems.coarse_block_density_from_fine):
+            return [v + 1e-9 for v in fn(*args)]
+
+        monkeypatch.setattr(theorems, "coarse_block_density_from_fine", off)
+        reports = check_refinement_aggregation(gcdper(6, 1024), COARSE_5, FINE_10, 1, 0.5)
+        assert len(reports) == 5
+        for rep in reports:
+            assert not rep.passed
+            assert set(rep.witness) == {"aggregated", "direct", "error"}
+            assert rep.witness["error"] == abs(rep.witness["aggregated"] - rep.witness["direct"])
+            assert rep.witness["error"] == pytest.approx(1e-9)
+
+
 @st.composite
 def explicit_schemes(draw):
     """Points k_0 <= 8 and then k_r = max(k_{r-1} + 1, floor(k_{r-1} * q_r)) for 2 to 9
@@ -459,21 +487,29 @@ class TestPropertySuites:
         assert runs[0] == runs[1]
         assert list(runs[0]) == list(theorems.SUITES)
 
+    def test_half_rows_run_half_the_instances_or_50(self):
+        suites = run_property_suite(0, instances=3, max_length=300)
+        assert [res.instances for res in suites.values()] == [3, 3, 3, 50, 50, 50]
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_a_suite_patched_with_a_closure_takes_effect(self, monkeypatch, cpus):
         note = f"patched under {cpus} CPUs"
 
-        def patched(seed, instances, max_length):
-            return SuiteResult("markov_step", instances, extra={"note": note, "seed": seed})
+        def check(x, recipe, n, eps):
+            return [CheckReport("markov_step", {"note": note, "recipe": recipe}, False)]
 
+        patched = Suite(lambda rng, x: {"recipe": x.recipe}, check,
+                        extra=lambda checks, low, high: {"note": note, "checks": checks})
         with pytest.raises((AttributeError, pickle.PicklingError)):
             pickle.dumps(patched)  # a worker can only get it by name
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(theorems, "markov_step_suite", patched)
+        monkeypatch.setitem(theorems.SUITES, "markov_step", patched)
         suites = run_property_suite(5, instances=3, max_length=300)
-        assert suites["markov_step"].to_dict() == {
-            "name": "markov_step", "instances": 3, "failures": [], "passed": True,
-            "note": note, "seed": 7}
+        first = random_sample(np.random.default_rng(7), max_length=300)  # seed 5 + suite 2
+        d = suites["markov_step"].to_dict()
+        assert (d["name"], d["instances"], d["passed"]) == ("markov_step", 3, False)
+        assert (d["note"], d["checks"]) == (note, 3)
+        assert d["failures"][0]["instance"] == {"note": note, "recipe": first.recipe}
         assert suites["lac1_bound"].extra["blocks_checked"] > 0
 
     def test_suite_to_dict(self):
