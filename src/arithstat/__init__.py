@@ -46,7 +46,6 @@ from .density import (
     asc_theta_verdict,
     asc_verdict,
     asc_verdicts,
-    coarse_block_density_from_fine,
     density_curve,
     ntheta_norm,
     prefix_checkpoints,
@@ -98,8 +97,8 @@ __all__ = [
     "is_refinement", "make_scheme", "q_ratio_stats", "refinement_map",
     "DEFAULT_GRID", "DEFAULT_POLICY", "ConvergenceVerdict", "DensityCurve", "MeanVerdict",
     "Outcome", "VerdictPolicy", "ac_sup_deviation", "ac_theta_at_scale", "ac_theta_block_means",
-    "asc_theta_verdict", "asc_verdict", "asc_verdicts", "coarse_block_density_from_fine",
-    "density_curve", "ntheta_norm", "prefix_checkpoints",
+    "asc_theta_verdict", "asc_verdict", "asc_verdicts", "density_curve",
+    "ntheta_norm", "prefix_checkpoints",
     "CheckReport", "Evidence", "HypothesisNotMet", "InclusionExperiment",
     "check_delta_transfer", "check_lac1_bound", "check_markov_step",
     "check_refinement_aggregation", "check_scalar_closure", "check_sum_closure",

@@ -12,11 +12,13 @@ import argparse
 import codecs
 import csv
 import json
+import os
 import sys
 from collections import deque
-from collections.abc import Iterator
-from contextlib import closing, contextmanager
+from collections.abc import Callable, Iterator
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -396,28 +398,41 @@ def load_scheme(path: str) -> LacunaryScheme:
     return parse_scheme_spec(_read_json(p))
 
 
-@contextmanager
-def _written(path: Path, **kwargs) -> Iterator:
-    """`path` opened for writing under its made parents; an OSError is a ConfigError."""
+def _write_all(out: Path, files: dict[str, Callable]) -> None:
+    """Write every file of `files`, by name, into `out` through `files[name](fh)`: all or none.
+
+    Each goes to a temporary name beside it, and each is moved into place only
+    after the last write succeeded; no temporary outlives the call. An OSError is
+    a ConfigError that names the file. No newline is translated.
+    """
+    staged: list[Path] = []
+    path = out / next(iter(files))
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", **kwargs) as fh:
-            yield fh
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in files.items():
+            path = out / name
+            staged.append(out / f".{name}.tmp")
+            with open(staged[-1], "w", newline="") as fh:
+                write(fh)
+        for name, tmp in zip(files, staged):
+            path = out / name
+            os.replace(tmp, path)
     except OSError as e:
         raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
-def _write_json(path: Path, obj) -> None:
-    with _written(path) as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+def _dump_json(obj, fh) -> None:
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with _written(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _dump_csv(header, rows, fh) -> None:
+    w = csv.writer(fh)
+    w.writerow(header)
+    w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +472,10 @@ def cmd_analyze(cfg: RunConfig) -> None:
             {"n": theta.evaluated_n, "values": block_means},
         "ntheta_norm": norm,
     }
-    _write_json(out / "report.json", report)
-    _write_csv(out / "curves.csv", CSV_HEADER,
-               ((c.axis, i, c.epsilon, c.witness, v) for c in curves for i, v in c.points))
+    _write_all(out, {"report.json": partial(_dump_json, report),
+                     "curves.csv": partial(_dump_csv, CSV_HEADER, (
+                         (c.axis, i, c.epsilon, c.witness, v)
+                         for c in curves for i, v in c.points))})
     wit = f" (witness n = {asc.witness})" if asc.witness else ""
     print(f"asc: {asc.outcome.value}{wit}")
     if theta is not None:
@@ -474,7 +490,7 @@ def cmd_scheme(cfg: RunConfig) -> None:
         raise ConfigError("give one --scheme, or two for a relation")
     schemes = [load_scheme(s) for s in cfg.schemes]
     out = Path(cfg.out)
-    described = []
+    described, files, lines = [], {}, []
     for i, s in enumerate(schemes, start=1):
         try:
             lo, hi = q_ratio_stats(s)
@@ -489,12 +505,12 @@ def cmd_scheme(cfg: RunConfig) -> None:
             "limsup_estimate": hi,
             "advisory_flag": s.advisory_flag,
         })
-        _write_csv(out / f"scheme_{i}.csv", ("r", "k", "h", "q"),
-                   [(0, s.points[0], "", ""),
-                    *zip(range(1, s.block_count + 1), s.points[1:], s.lengths, s.ratios)])
-        print(f"scheme {i}: {s.block_count} blocks, q tail in "
-              f"[{lo:g}, {hi:g}]" + (", advisory: not lacunary-looking"
-                                     if s.advisory_flag else ""))
+        files[f"scheme_{i}.csv"] = partial(_dump_csv, ("r", "k", "h", "q"), [
+            (0, s.points[0], "", ""),
+            *zip(range(1, s.block_count + 1), s.points[1:], s.lengths, s.ratios)])
+        lines.append(f"scheme {i}: {s.block_count} blocks, q tail in "
+                     f"[{lo:g}, {hi:g}]" + (", advisory: not lacunary-looking"
+                                            if s.advisory_flag else ""))
 
     relation = None
     if len(schemes) == 2:
@@ -507,15 +523,16 @@ def cmd_scheme(cfg: RunConfig) -> None:
             rel, direction = block_intersections(a, b), "general pair"
         relation = {"direction": direction, **rel.to_dict()}
         delta = "undefined" if rel.delta is None else f"{rel.delta:g}"
-        print(f"relation: {direction}, delta = {delta}")
+        lines.append(f"relation: {direction}, delta = {delta}")
 
-    _write_json(out / "scheme_report.json", {
+    files["scheme_report.json"] = partial(_dump_json, {
         "schema": 1,
         "config": cfg.to_dict(),
         "schemes": described,
         "relation": relation,
     })
-    print(f"wrote {out / 'scheme_report.json'}")
+    _write_all(out, files)  # a failed write prints no line
+    print(*lines, f"wrote {out / 'scheme_report.json'}", sep="\n")
 
 
 def _injected_scaling_report() -> CheckReport:
@@ -635,7 +652,8 @@ def cmd_verify(cfg: RunConfig) -> bool:
         "verified": ok,
     }
     out = Path(cfg.out)
-    _write_json(out / "verify_report.json", report)  # a failed write prints no line
+    # a failed write prints no line
+    _write_all(out, {"verify_report.json": partial(_dump_json, report)})
     for label, good in lines:
         print(f"{'PASS' if good else 'FAIL'}  {label}")
     print(f"wrote {out / 'verify_report.json'}")

@@ -19,13 +19,12 @@ import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import cache, cached_property
-from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SeqSample, _check_eps, _flags, check_witness, deviations
-from .lacunary import LacunaryScheme, RelationPair, SchemeRelation
+from .kernel import SeqSample, _check_eps, check_witness, deviations
+from .lacunary import LacunaryScheme
 
 __all__ = [
     "DEFAULT_GRID",
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_POLICY",
     "ConvergenceVerdict",
     "MeanVerdict",
-    "coarse_block_density_from_fine",
     "prefix_checkpoints",
     "density_curve",
     "ac_sup_deviation",
@@ -125,31 +123,6 @@ class DensityCurve:
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-
-def _pairs_within(relation: SchemeRelation, length: int) -> list[RelationPair]:
-    """The pairs of every coarse block that ends inside 1..length, in order."""
-    beyond = {p.coarse_index for p in relation.pairs if p.hi > length}
-    return [p for p in relation.pairs if p.coarse_index not in beyond]
-
-
-def coarse_block_density_from_fine(x: SeqSample, relation: SchemeRelation, n: int,
-                                   eps: float) -> list[float]:
-    """The density of every coarse block inside the sample, aggregated from its fine blocks.
-
-    `relation` is `refinement_map(coarse, fine)`. Coarse block r gets
-    (1/h_r) * sum over the fine blocks j tiling it of h*_j * (fine block
-    density), in block order, with every fine block counted from one
-    exceedance flag pass. Equal to the directly counted coarse block density
-    up to float rounding (the suite pins the gap at 1e-12).
-    """
-    pairs = _pairs_within(relation, x.length)
-    counts = _interval_sums(_flags(x, n, eps), Intervals(
-        np.array([p.lo for p in pairs], dtype=np.int64),
-        np.array([p.hi for p in pairs], dtype=np.int64))).tolist()
-    coarse_size = {p.coarse_index: p.coarse_size for p in pairs}
-    return [math.fsum(p.size * (count / p.size) for p, count in block) / coarse_size[r]
-            for r, block in groupby(zip(pairs, counts), key=lambda pc: pc[0].coarse_index)]
 
 
 def prefix_checkpoints(length: int, growth: float = DEFAULT_POLICY.growth) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 
 Each check_* function verifies one mechanism on one concrete instance and
 returns a CheckReport: one per axis (prefix, then block) for the set checks,
-one per block inside the sample for the block checks. The checks are exact: set identities compare the boolean exceedance
-flags of each index interval by interval, with one deviation pass per
-(sample, n, eps), and inequalities between counted densities are compared
+one per block inside the sample for the block checks. The checks are exact:
+set identities compare the boolean exceedance flags of each index interval
+by interval, with one deviation pass per (sample, n, eps), and identities and
+inequalities between counted densities are compared on the integer counts,
 with denominators cleared in integer or Fraction arithmetic, so no floating
 tolerance is involved anywhere a mathematical identity is claimed.
 
@@ -49,17 +50,16 @@ from .density import (
     VerdictPolicy,
     ac_theta_at_scale,
     asc_verdicts,
-    coarse_block_density_from_fine,
-    density_curve,
     _check_eps,
     _first_hit,
     _interval_fsums,
     _interval_sums,
     _intervals,
-    _pairs_within,
 )
 from .lacunary import (
     LacunaryScheme,
+    RelationPair,
+    SchemeRelation,
     factorial_points,
     geometric_points,
     make_scheme,
@@ -98,9 +98,6 @@ __all__ = [
 MIN_LIMINF = 1.05
 #: Finite surrogate for "limsup q_r finite": the tail maximum must stay below this.
 MAX_LIMSUP = 64.0
-#: Largest gap the refinement check allows between an aggregated coarse block
-#: density and the directly counted one, which differ only by float rounding.
-AGGREGATION_TOLERANCE = 1e-12
 
 
 class HypothesisNotMet(Exception):
@@ -177,13 +174,13 @@ def check_sum_closure(x: SeqSample, y: SeqSample, n: int, eps: float,
                         lambda at, m: {"at": at, "outside_union": m})
 
 
-def _block_reports(name: str, x: SeqSample, scheme: LacunaryScheme, n: int, eps: float,
-                   witnesses: Iterable[dict | None]) -> list[CheckReport]:
+def _block_reports(name: str, x: SeqSample, schemes: dict[str, LacunaryScheme], n: int,
+                   eps: float, witnesses: Iterable[dict | None]) -> list[CheckReport]:
     """One report per block r = 1, 2, ..., passed exactly when its witness is None."""
-    preview = _scheme_preview(scheme)
+    previews = {key: _scheme_preview(s) for key, s in schemes.items()}
     return [
         CheckReport(name, {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps,
-                           "r": r, "scheme": preview},
+                           "r": r, **previews},
                     witness is None, witness)
         for r, witness in enumerate(witnesses, 1)
     ]
@@ -199,7 +196,7 @@ def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int,
     dev = deviations(x, n)
     counts = _interval_sums(dev >= _check_eps(eps), iv).tolist()
     totals = _interval_fsums(dev, iv).tolist()
-    return _block_reports("markov_step", x, scheme, n, eps, (
+    return _block_reports("markov_step", x, {"scheme": scheme}, n, eps, (
         None if eps * count <= total else {"lhs": eps * count, "rhs": total}
         for count, total in zip(counts, totals)))
 
@@ -217,13 +214,30 @@ def check_lac1_bound(x: SeqSample, scheme: LacunaryScheme, n: int,
     lo, hi = blocks.lo, blocks.hi
     counts = _interval_sums(_flags(x, n, eps), Intervals(
         np.concatenate((np.zeros_like(lo), lo)), np.concatenate((hi, hi)))).tolist()
-    return _block_reports("lac1_bound", x, scheme, n, eps, (
+    return _block_reports("lac1_bound", x, {"scheme": scheme}, n, eps, (
         None if pref >= blk else {
             "prefix_density": pref / k_r,
             "scaled_block_density": ((k_r - a) / k_r) * (blk / (k_r - a)),
         }
         for a, k_r, pref, blk in zip(lo.tolist(), hi.tolist(),
                                      counts[:lo.size], counts[lo.size:])))
+
+
+def _refinement_counts(x: SeqSample, coarse: LacunaryScheme, relation: SchemeRelation,
+                       n: int, eps: float) -> tuple[list[RelationPair], list[int], list[int]]:
+    """(pairs, coarse counts, pair counts) of a refinement inside the sample, from one flag pass.
+
+    `relation` is `refinement_map(coarse, fine)`, and the pairs are those of every
+    coarse block that ends inside the sample. Each such coarse block is counted
+    through `_interval_sums`, each pair by a slice count of the same flags, so the
+    two sides of a refinement check are counted two ways. Raises when no coarse
+    block fits the sample.
+    """
+    blocks = _intervals(x.length, "block", coarse)
+    flags = _flags(x, n, eps)
+    pairs = [p for p in relation.pairs if p.coarse_index <= blocks.lo.size]
+    return (pairs, _interval_sums(flags, blocks).tolist(),
+            [int(np.count_nonzero(flags[p.lo:p.hi])) for p in pairs])
 
 
 def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
@@ -240,12 +254,7 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
         "coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine),
         "delta": float(delta),
     }
-    blocks = _intervals(x.length, "block", coarse)
-    pairs = _pairs_within(rel, x.length)
-    counts = _interval_sums(_flags(x, n, eps), Intervals(
-        np.concatenate((blocks.lo, [p.lo for p in pairs])),
-        np.concatenate((blocks.hi, [p.hi for p in pairs])))).tolist()
-    coarse_counts, fine_counts = counts[:blocks.lo.size], counts[blocks.lo.size:]
+    pairs, coarse_counts, fine_counts = _refinement_counts(x, coarse, rel, n, eps)
     for p, fine_count in zip(pairs, fine_counts):
         coarse_count = coarse_counts[p.coarse_index - 1]
         if (fine_count * p.coarse_size * delta.numerator
@@ -262,23 +271,21 @@ def check_delta_transfer(x: SeqSample, coarse: LacunaryScheme,
 
 def check_refinement_aggregation(x: SeqSample, coarse: LacunaryScheme, fine: LacunaryScheme,
                                  n: int, eps: float) -> list[CheckReport]:
-    """Each coarse block density aggregated from its fine blocks equals the counted one.
+    """Each coarse block's exceedance count equals the sum over the fine blocks tiling it.
 
-    One report per coarse block inside the sample, in order; the two differ only by
-    float rounding, so a gap above AGGREGATION_TOLERANCE fails. Every report's
-    witness holds both densities and their gap.
+    One report per coarse block inside the sample, in order. Both sides count
+    the same h_r integers, so equal counts are the aggregation identity of the
+    block densities, exactly. The direct count goes through `_interval_sums` and
+    each fine block's through a slice count, so a fault in either count fails a
+    block; a failed report's witness holds both integer counts.
     """
-    aggregated = coarse_block_density_from_fine(x, refinement_map(coarse, fine), n, eps)
-    counted = density_curve(x, n, eps, "block", coarse).values
-    schemes = {"coarse": _scheme_preview(coarse), "fine": _scheme_preview(fine)}
-    return [
-        CheckReport("refinement_aggregation",
-                    {"recipe": x.recipe, "length": x.length, "n": n, "eps": eps, "r": r,
-                     **schemes},
-                    not abs(agg - direct) > AGGREGATION_TOLERANCE,
-                    {"aggregated": agg, "direct": direct, "error": abs(agg - direct)})
-        for r, (agg, direct) in enumerate(zip(aggregated, counted), 1)
-    ]
+    pairs, direct, fine_counts = _refinement_counts(x, coarse, refinement_map(coarse, fine),
+                                                    n, eps)
+    aggregated = [0] * len(direct)
+    for p, count in zip(pairs, fine_counts):
+        aggregated[p.coarse_index - 1] += count
+    return _block_reports("refinement_aggregation", x, {"coarse": coarse, "fine": fine}, n, eps, (
+        None if d == a else {"direct": d, "aggregated": a} for d, a in zip(direct, aggregated)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,11 +645,8 @@ SUITES: dict[str, Suite] = {
         "scheme": random_scheme(rng, x.length),
     }, check_sum_closure),
     "markov_step": Suite(_draw_scheme, check_markov_step, extra=_blocks_checked),
-    "refinement_aggregation": Suite(
-        _draw_refinement, check_refinement_aggregation, half=True,
-        measure=lambda rep: rep.witness["error"],
-        extra=lambda checks, low, high: {"max_error": max(0.0, high),
-                                         "tolerance": AGGREGATION_TOLERANCE}),
+    "refinement_aggregation": Suite(_draw_refinement, check_refinement_aggregation, half=True,
+                                    extra=_blocks_checked),
     # self and singleton refinements included
     "delta_transfer": Suite(
         _draw_refinement, lambda x, **params: [check_delta_transfer(x, **params)], half=True,

@@ -435,6 +435,35 @@ class TestOutputDirectory:
         assert (rc, capsys.readouterr()) == (EXIT_CONFIG, (
             "", "config error: cannot write o/verify_report.json: No space left on device\n"))
 
+    @pytest.mark.parametrize("command, names", [
+        (["scheme", "--scheme", "s.json"], ["scheme_1.csv", "scheme_report.json"]),
+        (["analyze", "--input", "c.json", "--length", "100"], ["report.json", "curves.csv"]),
+    ], ids=["scheme", "analyze"])
+    def test_a_failed_second_write_leaves_the_earlier_outputs(self, tmp_path, monkeypatch,
+                                                              capsys, command, names):
+        # it left the first file of the new run beside the second of the earlier one
+        def full_on_second(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                written.append(path)
+                if len(written) == 2:
+                    raise OSError(28, "No space left on device")
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path / "s.json", DYADIC_POINTS)
+        write_json(tmp_path / "c.json", {"kind": "constant", "value": 2.0})
+        (tmp_path / "o").mkdir()
+        for name in names:
+            (tmp_path / "o" / name).write_text(f"earlier {name}\n")
+        written: list = []
+        monkeypatch.setattr(cli, "open", full_on_second, raising=False)
+        rc = main([*command, "--out", "o"])
+        assert (rc, capsys.readouterr()) == (EXIT_CONFIG, (
+            "", f"config error: cannot write o/{names[1]}: No space left on device\n"))
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(names)
+        for name in names:
+            assert (tmp_path / "o" / name).read_text() == f"earlier {name}\n"
+
 
 class TestScheme:
     def test_single_scheme_table(self, tmp_path):

@@ -32,7 +32,6 @@ from arithstat.density import (
     asc_verdict,
     asc_verdicts,
     check_grid,
-    coarse_block_density_from_fine,
     density_curve,
     ntheta_norm,
     prefix_checkpoints,
@@ -40,7 +39,13 @@ from arithstat.density import (
     _intervals,
 )
 from arithstat.lacunary import make_scheme, refinement_map
-from arithstat.theorems import check_lac1_bound, check_markov_step, ramp_sample
+from arithstat.theorems import (
+    _refinement_counts,
+    check_lac1_bound,
+    check_markov_step,
+    check_refinement_aggregation,
+    ramp_sample,
+)
 
 SPIKES_16 = generate(SparseSpike(height=1.0, support=(2, 4, 8, 16)), 16)
 DYADIC_5 = make_scheme([1, 2, 4, 8, 16])
@@ -547,8 +552,8 @@ class TestFinestThreshold:
 
 
 class TestBlockCheckRecount:
-    """The block checks and the coarse-from-fine aggregation, block by block,
-    against counts of m with |x_m - x_gcd(m, n)| >= eps. Some schemes get a
+    """The block checks and both counts of the refinement aggregation, block by
+    block, against counts of m with |x_m - x_gcd(m, n)| >= eps. Some schemes get a
     last block that ends past the sample, or only a block that does."""
 
     @given(case=recount_cases(), n=st.integers(1, 8),
@@ -595,10 +600,17 @@ class TestBlockCheckRecount:
 
         fine = make_scheme(sorted(set(points) | {p for p in extra
                                                  if points[0] < p < points[-1]}))
-        aggregated = coarse_block_density_from_fine(x, refinement_map(scheme, fine), n, eps)
-        assert len(aggregated) == len(blocks)
-        for agg, (lo, hi) in zip(aggregated, blocks):
-            assert abs(agg - count(lo, hi) / (hi - lo)) <= 1e-12
+        if not blocks:
+            with pytest.raises(ValueError, match="no block of the scheme fits"):
+                check_refinement_aggregation(x, scheme, fine, n, eps)
+            return
+        pairs, direct, fine_counts = _refinement_counts(x, scheme, refinement_map(scheme, fine),
+                                                        n, eps)
+        assert direct == [count(lo, hi) for lo, hi in blocks]
+        assert fine_counts == [count(p.lo, p.hi) for p in pairs]
+        assert [(rep.instance["r"], rep.passed)
+                for rep in check_refinement_aggregation(x, scheme, fine, n, eps)] == [
+            (r, True) for r in range(1, len(blocks) + 1)]
 
 
 class TestScalingMetamorphic:

@@ -8,7 +8,6 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from arithstat.density import coarse_block_density_from_fine
 from arithstat.kernel import SeqSample
 from arithstat.lacunary import (
     MAX_POINT,
@@ -19,6 +18,7 @@ from arithstat.lacunary import (
     q_ratio_stats,
     refinement_map,
 )
+from arithstat.theorems import _refinement_counts, check_refinement_aggregation
 
 DYADIC = make_scheme([1, 2, 4, 8, 16])
 
@@ -193,12 +193,28 @@ class TestIntersections:
         assert covered == hi - lo
 
 
-def density_oracle(x: SeqSample, lo: int, hi: int, n: int, eps: float) -> float:
-    hits = sum(
+def count_oracle(x: SeqSample, lo: int, hi: int, n: int, eps: float) -> int:
+    return sum(
         1 for m in range(lo + 1, hi + 1)
         if abs(x.value(m) - x.value(math.gcd(m, n))) >= eps
     )
-    return hits / (hi - lo)
+
+
+def assert_counts_match_oracle(x: SeqSample, coarse, fine, n: int, eps: float) -> int:
+    """Both counts of every coarse block inside the sample equal the brute recount, and
+    its aggregation report passes; returns the number of those blocks."""
+    fitting = coarse.blocks_within(x.length)
+    pairs, direct, fine_counts = _refinement_counts(x, coarse, refinement_map(coarse, fine),
+                                                    n, eps)
+    assert direct == [count_oracle(x, *coarse.block(r), n, eps) for r in range(1, fitting + 1)]
+    assert [sum(p.size for p in pairs if p.coarse_index == r)
+            for r in range(1, fitting + 1)] == list(coarse.lengths[:fitting])
+    assert all(p.coarse_index <= fitting for p in pairs)
+    assert fine_counts == [count_oracle(x, p.lo, p.hi, n, eps) for p in pairs]
+    reports = check_refinement_aggregation(x, coarse, fine, n, eps)
+    assert [(rep.instance["r"], rep.passed) for rep in reports] == [
+        (r, True) for r in range(1, fitting + 1)]
+    return fitting
 
 
 class TestAggregation:
@@ -207,21 +223,14 @@ class TestAggregation:
         x = SeqSample(rng.integers(-16, 17, size=1000) / 8.0)
         coarse = make_scheme([1, 4, 16, 64, 256, 1000])
         fine = make_scheme(sorted(set(coarse.points) | {1, 2, 9, 40, 100, 500, 1000}))
-        relation = refinement_map(coarse, fine)
-        aggregated = coarse_block_density_from_fine(x, relation, 6, 0.5)
-        assert len(aggregated) == coarse.blocks_within(1000) == coarse.block_count
-        for r, agg in enumerate(aggregated, 1):
-            lo, hi = coarse.block(r)
-            assert agg == pytest.approx(density_oracle(x, lo, hi, 6, 0.5), abs=1e-12)
+        for f in (fine, coarse):  # a proper refinement, and the identity
+            assert assert_counts_match_oracle(x, coarse, f, 6, 0.5) == coarse.block_count
 
     def test_sample_ending_inside_a_coarse_block_gives_the_fitting_blocks(self):
         # the sample ends at 12, inside coarse block (8, 16] and past the
         # fine block (8, 10] that starts it: only coarse blocks 1..3 fit
         x = SeqSample(np.arange(12.0))
-        relation = refinement_map(DYADIC, make_scheme([1, 2, 3, 4, 6, 8, 10, 16]))
-        aggregated = coarse_block_density_from_fine(x, relation, 1, 0.5)
-        assert len(aggregated) == DYADIC.blocks_within(12) == 3
-        for r, agg in enumerate(aggregated, 1):
-            lo, hi = DYADIC.block(r)
-            assert agg == pytest.approx(density_oracle(x, lo, hi, 1, 0.5), abs=1e-12)
-        assert coarse_block_density_from_fine(SeqSample(np.zeros(1)), relation, 1, 0.5) == []
+        fine = make_scheme([1, 2, 3, 4, 6, 8, 10, 16])
+        assert assert_counts_match_oracle(x, DYADIC, fine, 1, 0.5) == 3
+        with pytest.raises(ValueError, match="no block of the scheme fits"):
+            check_refinement_aggregation(SeqSample(np.zeros(1)), DYADIC, fine, 1, 0.5)

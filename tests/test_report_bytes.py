@@ -25,6 +25,14 @@ suite tallies of those draws moved, and every stdout line stayed the same.
 The new digests equal those of the older code with its compounding generator
 replaced by `geometric_points`, with one suite worker and with two.
 
+They were recorded once more when the refinement-aggregation check came to
+compare integer exceedance counts, where it had compared a float density
+aggregated from the fine blocks with the counted one against a 1e-12
+tolerance. The suite's extra keys `max_error` and `tolerance` became
+`blocks_checked`; a diff of the five reports of the older and the newer code
+showed no other change, and every stdout, `analyze` and `scheme` digest
+stayed the same.
+
 Any change to a verdict, a density, a scheme generator or a suite draw shows
 up as a changed digest. The `verify` digests hold whether the suites run in
 this process or in worker processes.
@@ -110,26 +118,26 @@ EXPECTED = {
     "scheme-refinement/scheme_report.json":
         "eec76d444cff1596b4a1f33327dd6e8e018958f8165cdb61c5d3eec993b31919",
     "verify/stdout": "65070b4ef578688d958b300a7592bdd6b7cd732a6006c184cfb2bce988273a60",
-    "verify/verify_report.json": "db12b3ae3dec23b0c1045c0c29332bf456ea179ffc91d8b62b87a25bd76c484d",
+    "verify/verify_report.json": "5c19b18d53f710c08c1730612cd8cbcffd8daf2d02a09a4638bd5f6d9b2c2ac3",
     "verify-100/stdout": "8eaa9a8c645b5f6a68454222aeaf84d1273ebae0dc0ccad53ef594637e7c71c4",
     "verify-100/verify_report.json":
-        "06c54bedd08c6b7a474d245d2bd6a06ed6a17408d005ee5cc10f215d02ffa36c",
+        "581016065e2591ace00c923796ca7269d6f0cf83e961bc2a6de0d34706fbb4af",
     "analyze-noise/stdout": "dca6dbcc3b749ac4cae19ddcc3b916993900749ede16a992bf59f9adfbce793e",
     "analyze-noise/curves.csv": "b433d07852aaf9136805c742c63c0511766006ecfb2477b46850994d504508a4",
     "analyze-noise/report.json": "620cf388d13b188a5f79839d9d391b23f436d0c731df916991bc3ca3875efb4b",
     "verify-fault/stdout": "02e613ed711535c8d1588fcfc176e11b86dfa65a7f81d00bf9e7d9962d9dc951",
     "verify-fault/verify_report.json":
-        "8b9b02ce68aff338e6bb0adf5513fba0720d8b56a451a61be647f56c03c44d7a",
+        "ca3e1cb72738fc13c53da4bbf47c6777b5e5c5792bb12b25bfb13b558dd63c92",
     "analyze-grid/stdout": "e3c5bec14784af90a5b092e2061909faab1eb5d9702b4ce17dcfbd9d78d3be4d",
     "analyze-grid/curves.csv": "17efe672bcc0ef87b1be48efb1189687845c4baa75258d463b6f895370e94bc2",
     "analyze-grid/report.json": "faa0fbd20720f504d9f4e83986f46b9a4d55400510e2680210497056948c54b2",
     "verify-grid/stdout": "80f95e4bd99f281a3b83ffb410ddbfe1ffcfd79b652235bbc00918e64e10fd5d",
     "verify-grid/verify_report.json":
-        "ff90a71c72d0888cf35a7dd5c4c7418173e973cc90c532fa996dc9ec2ff2df82",
+        "803bc05757fa299efe5a41594be2b0e47cadfecbc24d0ff2e286c5e78c94b7a3",
     "verify-contradiction/stdout":
         "2eb540336b7d1eb7d1eea3b3ddc3efbe5810dadb4973edcfe4816e3dcbb6d951",
     "verify-contradiction/verify_report.json":
-        "a3923846ff9c280e34d03630c00c429ca175dfdd8922edc79dd42a0b415d71ae",
+        "a12006c6e46b5dbf006a2b4a768968708815b936758db63baaccc89b3b5de11b",
 }
 
 

@@ -15,6 +15,7 @@ from arithstat.kernel import (
     GcdPeriodic,
     SeqSample,
     SparseSpike,
+    _flags,
     divisors,
     generate,
 )
@@ -264,21 +265,22 @@ class TestRefinementAggregation:
         x = gcdper(6, 300)  # blocks (1, 4] to (64, 256] fit, (256, 1024] does not
         reports = check_refinement_aggregation(x, COARSE_5, FINE_10, 1, 0.5)
         assert [rep.instance["r"] for rep in reports] == [1, 2, 3, 4]
-        assert all(rep.passed for rep in reports)
-        assert any(rep.witness["direct"] > 0 for rep in reports)
+        assert all(rep.passed and rep.witness is None for rep in reports)
+        assert _flags(x, 1, 0.5)[1:256].any()
 
-    def test_an_aggregate_off_by_1e_9_fails_every_block(self, monkeypatch):
-        def off(*args, fn=theorems.coarse_block_density_from_fine):
-            return [v + 1e-9 for v in fn(*args)]
+    def test_a_shifted_count_fails_with_integer_counts(self, monkeypatch):
+        # the direct count taken over (lo + 1, hi + 1] in place of (lo, hi]; the fine
+        # blocks are counted by slice, so only block (1, 4], whose bounds 2 and 5
+        # differ in flag, parts: 3, 4, 5 hold two flags and 2, 3, 4 hold three
+        def shifted(flags, iv, fn=theorems._interval_sums):
+            return fn(np.append(flags[1:], False), iv)
 
-        monkeypatch.setattr(theorems, "coarse_block_density_from_fine", off)
+        monkeypatch.setattr(theorems, "_interval_sums", shifted)
         reports = check_refinement_aggregation(gcdper(6, 1024), COARSE_5, FINE_10, 1, 0.5)
-        assert len(reports) == 5
-        for rep in reports:
-            assert not rep.passed
-            assert set(rep.witness) == {"aggregated", "direct", "error"}
-            assert rep.witness["error"] == abs(rep.witness["aggregated"] - rep.witness["direct"])
-            assert rep.witness["error"] == pytest.approx(1e-9)
+        assert [rep.passed for rep in reports] == [False, True, True, True, True]
+        witness = reports[0].witness
+        assert witness == {"direct": 2, "aggregated": 3}
+        assert type(witness["direct"]) is type(witness["aggregated"]) is int
 
 
 @st.composite
@@ -465,11 +467,12 @@ class TestPropertySuites:
         for name, res in suites.items():
             assert res.passed, (name, res.failures[:1])
 
-    def test_aggregation_error_is_pinned(self):
+    def test_aggregation_checks_a_block_of_every_instance(self):
         suites = run_property_suite(3, instances=30, max_length=1000)
         agg = suites["refinement_aggregation"]
-        assert agg.extra["tolerance"] == 1e-12
-        assert agg.extra["max_error"] <= 1e-12
+        assert agg.passed
+        assert list(agg.extra) == ["blocks_checked"]
+        assert agg.extra["blocks_checked"] >= agg.instances
 
     def test_delta_suite_sees_identity_and_proper_refinements(self):
         suites = run_property_suite(19, instances=30, max_length=1000)
