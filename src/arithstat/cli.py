@@ -62,6 +62,7 @@ from .lacunary import (
     refinement_map,
 )
 from .theorems import (
+    HYPOTHESES,
     CheckReport,
     HypothesisNotMet,
     evidence_table,
@@ -573,7 +574,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
     def family_checks() -> None:  # in this process, while the suites run in workers
         try:
-            for hyp in ("lac1", "lac2", "corollary", "ac_subset"):
+            for hyp in HYPOTHESES:
                 exp = run_inclusion_experiment(hyp, table)
                 experiments[hyp] = exp.to_dict()
                 good = exp.summary["contradictions"] == 0

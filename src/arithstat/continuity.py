@@ -16,11 +16,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .kernel import SeqSample, check_witness, gcd_anchors
+from .kernel import SeqSample, _check_eps, check_witness, gcd_anchors
 from .density import (
     DEFAULT_POLICY,
     Outcome,
-    _check_eps,
     _first_hit,
     _intervals,
     asc_theta_verdict,

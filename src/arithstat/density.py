@@ -89,12 +89,12 @@ class VerdictPolicy:
     def __post_init__(self) -> None:
         if self.tail_window < 1:
             raise ValueError("tail_window must be >= 1")
-        if not 0 < self.tol < self.tol_hi:
-            raise ValueError("need 0 < tol < tol_hi")
+        if not 0 < self.tol < self.tol_hi < math.inf:
+            raise ValueError("need 0 < tol < tol_hi, both finite")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        if not self.growth > 1:
-            raise ValueError("growth must exceed 1")
+        if not 1 < self.growth < math.inf:
+            raise ValueError("growth must be finite and exceed 1")
         object.__setattr__(self, "grid", check_grid(self.grid))
 
     def to_dict(self) -> dict:
@@ -133,8 +133,8 @@ def prefix_checkpoints(length: int, growth: float = DEFAULT_POLICY.growth) -> tu
     """
     if int(length) != length or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
-    if not growth > 1:
-        raise ValueError(f"growth must exceed 1, got {growth!r}")
+    if not 1 < growth < math.inf:
+        raise ValueError(f"growth must be finite and exceed 1, got {growth!r}")
     if math.log(length) / math.log(growth) > MAX_CHECKPOINT_STEPS:
         raise ValueError(f"growth {growth!r} needs over {MAX_CHECKPOINT_STEPS} steps "
                          f"to reach length {length}")

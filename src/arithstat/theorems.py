@@ -36,6 +36,7 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
+    _check_eps,
     _flags,
     deviations,
     divisors,
@@ -50,7 +51,6 @@ from .density import (
     VerdictPolicy,
     ac_theta_at_scale,
     asc_verdicts,
-    _check_eps,
     _first_hit,
     _interval_fsums,
     _interval_sums,

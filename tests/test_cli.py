@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import arithstat
-from arithstat import cli, density, theorems
+from arithstat import cli, continuity, density, kernel, lacunary, theorems
 from arithstat.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -262,11 +262,19 @@ class TestAnalyze:
         ("--length", "4"),  # too short for a full tail window of checkpoints
         ("--n-max", "0"),
         ("--length", str(MAX_LENGTH + 1)),
+        # a non-finite tol_hi or growth would be written as Infinity, which is not JSON
+        ("--tol-hi", "inf"),
+        ("--tol-hi", "1e400"),
+        ("--growth", "inf", "--tail-window", "1"),
     ])
-    def test_bad_policy_is_config_error(self, tmp_path, const_spec, flags):
+    def test_bad_policy_is_config_error(self, tmp_path, capsys, const_spec, flags):
         rc = main(["analyze", "--input", const_spec, "--length", "1024",
                    "--out", str(tmp_path / "o"), *flags])
+        captured = capsys.readouterr()
         assert rc == EXIT_CONFIG
+        assert captured.out == ""
+        assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_reruns_are_byte_identical(self, tmp_path, const_spec, scheme_file):
         outs = []
@@ -586,6 +594,9 @@ class TestVerify:
         ("--length", "65", "--tail-window", "2"),  # prefix tail at 51, last block at 32
         ("--length", "65", "--tail-window", "1"),  # the last block starts at 32
         ("--seed", "-1"),  # numpy draws from no negative seed
+        ("--tol-hi", "inf"),
+        ("--tol-hi", "1e400"),
+        ("--growth", "inf", "--tail-window", "1"),
     ])
     def test_bad_family_config_is_refused_before_the_suites(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
@@ -716,6 +727,17 @@ def test_every_exported_name_resolves():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
     assert sum(hasattr(m, "__all__") for m in modules) >= 6  # the package and five modules
+
+
+def test_package_republishes_each_module_list():
+    modules = [kernel, lacunary, density, theorems, continuity]
+    names = [n for m in modules for n in m.__all__]
+    assert arithstat.__all__ == [*names, "__version__"]
+    # a name in two lists would let one wildcard import shadow another
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(arithstat, name) is getattr(module, name), name
 
 
 class TestConsoleScript:

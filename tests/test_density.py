@@ -136,6 +136,8 @@ class TestCheckpoints:
             prefix_checkpoints(100, growth=1.0)
         with pytest.raises(ValueError, match="length"):
             prefix_checkpoints(0)
+        with pytest.raises(ValueError, match="finite"):  # inf would end the walk at (length,)
+            prefix_checkpoints(100, growth=math.inf)
 
     def test_step_count_is_bounded(self):
         # 1.0002 needs about 87,000 steps to reach 2^25, 1.0001 about 173,000
@@ -247,6 +249,10 @@ class TestPolicy:
             VerdictPolicy(n_max=0)
         with pytest.raises(ValueError, match="growth"):
             VerdictPolicy(growth=0.9)
+        # a non-finite knob would be written as Infinity, which JSON has no word for
+        for knobs in ({"tol_hi": math.inf}, {"growth": math.inf}):
+            with pytest.raises(ValueError, match="finite"):
+                VerdictPolicy(**knobs)
         with pytest.raises(ValueError, match="must not be empty"):
             VerdictPolicy(grid=())
         with pytest.raises(ValueError, match="strictly decreasing"):

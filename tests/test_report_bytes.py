@@ -145,8 +145,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def refuse_constant(name: str) -> float:
+    raise ValueError(f"{name} is not JSON")
+
+
 def digests_of(runs: list[str], capsys) -> dict[str, str]:
-    """Digest of the stdout and each output file of every named run, in the cwd."""
+    """Digest of the stdout and each output file of every named run, in the cwd.
+
+    Every `.json` output must also parse as strict JSON: no NaN or Infinity.
+    """
     for name, obj in INPUTS.items():
         Path(name).write_text(json.dumps(obj))
     Path("noise.csv").write_text(noise_lines(3000))
@@ -155,7 +162,10 @@ def digests_of(runs: list[str], capsys) -> dict[str, str]:
         assert main([*RUNS[out], "--out", out]) == EXIT.get(out, EXIT_OK)
         digests[f"{out}/stdout"] = sha256(capsys.readouterr().out.encode())
         for path in sorted(Path(out).iterdir()):
-            digests[f"{out}/{path.name}"] = sha256(path.read_bytes())
+            data = path.read_bytes()
+            if path.suffix == ".json":
+                json.loads(data, parse_constant=refuse_constant)
+            digests[f"{out}/{path.name}"] = sha256(data)
     return digests
 
 
