@@ -253,7 +253,7 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
 
 
 def parse_scheme_spec(obj) -> LacunaryScheme:
-    """JSON object -> scheme: explicit points or a generator.
+    """JSON object -> scheme: explicit points or a generator, under exactly one key.
 
     Generators (count is always the number of blocks):
       {"geometric": {"ratio": 2.0, "count": 16, "start": 1}}
@@ -262,6 +262,9 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
     """
     if not isinstance(obj, dict):
         raise InputError(f"scheme spec must be a JSON object, got {type(obj).__name__}")
+    if sum(k in obj for k in ("points", "geometric", "polynomial", "factorial")) != 1:
+        raise InputError("scheme spec needs exactly one of 'points', 'geometric', "
+                         "'polynomial', or 'factorial'")
     try:
         if "points" in obj:
             return make_scheme(map(_integer, obj["points"]))
@@ -272,11 +275,9 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
         if "polynomial" in obj:
             g = obj["polynomial"]
             return first_blocks(polynomial_points(_integer(g["degree"])), _integer(g["count"]))
-        if "factorial" in obj:
-            return first_blocks(factorial_points(), _integer(obj["factorial"]["count"]))
+        return first_blocks(factorial_points(), _integer(obj["factorial"]["count"]))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
-    raise InputError("scheme spec needs 'points', 'geometric', 'polynomial', or 'factorial'")
 
 
 def _read_text(path: Path) -> str:
@@ -332,7 +333,7 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
         try:
             x = SeqSample(vals, recipe=f"csv({p.name})")
         except ValueError as e:
-            raise InputError(str(e)) from None
+            raise InputError(f"{p}: {e}") from None
     if max(x.values.max(), -x.values.min()) > MAX_MAGNITUDE:
         raise InputError(f"{p} holds a value of magnitude above {MAX_MAGNITUDE:g}")
     return x

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .kernel import SeqSample, _check_eps, check_witness, gcd_anchors
+from .kernel import SeqSample, _check_eps, _exceeds, check_witness, deviations, gcd_anchors
 from .density import (
     DEFAULT_POLICY,
     Outcome,
@@ -320,16 +320,10 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
         "recipe": x.recipe, "n": n, "eps": eps,
         "scheme": list(scheme.points[:8]),
     }
-    anchors = gcd_anchors(x.length, n)
-    fx = apply_fn(f, x.values)
-    fNx = apply_fn(fn, x.values)
-    fxg, fNxg = fx[anchors], fNx[anchors]
-    target = np.abs(fx - fxg) >= eps
-    cover = (
-        (np.abs(fNxg - fxg) >= eps / 3)
-        | (np.abs(fNxg - fNx) >= eps / 3)
-        | (np.abs(fNx - fx) >= eps / 3)
-    )
-    hit = _first_hit(target & ~cover, _intervals(x.length, "block", scheme))
+    fx, fNx = map_sequence(f, x), map_sequence(fn, x)
+    err = _exceeds(np.abs(fNx.values - fx.values), eps / 3)
+    cover = err[gcd_anchors(x.length, n)] | _exceeds(deviations(fNx, n), eps / 3) | err
+    miss = _exceeds(deviations(fx, n), eps) & ~cover
+    hit = _first_hit(miss, _intervals(x.length, "block", scheme))
     return CheckReport("uniform_limit", instance, hit is None, None if hit is None else
                        {"block": hit[0] + 1, "uncovered": hit[1]})

@@ -9,7 +9,7 @@ density curves over a grid of thresholds into one of three outcomes. Nothing
 in this module ever claims a limit: ConvergentAtScale means "converged as far
 as this truncation can see", and Inconclusive is an honest answer.
 
-Membership always compares the raw float deviation with >=, no tolerance.
+Membership is `kernel._exceeds`: the raw float deviation compared with >=, no tolerance.
 The theorem checks in `theorems` rely on these flags being exact index sets.
 """
 
@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SeqSample, _check_eps, check_witness, deviations
+from .kernel import SeqSample, _check_eps, _exceeds, check_witness, deviations
 from .lacunary import LacunaryScheme
 
 __all__ = [
@@ -54,11 +54,9 @@ MAX_CHECKPOINT_STEPS = 100_000
 
 def check_grid(grid: Sequence[float]) -> tuple[float, ...]:
     """Validate a threshold grid: positive floats, strictly decreasing."""
-    g = tuple(float(e) for e in grid)
+    g = tuple(map(_check_eps, grid))
     if not g:
         raise ValueError("epsilon grid must not be empty")
-    if any(not math.isfinite(e) or e <= 0 for e in g):
-        raise ValueError("epsilon grid values must be finite and positive")
     if any(b >= a for a, b in zip(g, g[1:])):
         raise ValueError("epsilon grid must be strictly decreasing")
     return g
@@ -262,10 +260,9 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     point per block that fits inside the sample.
     """
     n = check_witness(n)
-    eps = _check_eps(eps)
     iv = _intervals(x.length, axis, scheme, growth)
-    vals = _interval_sums(deviations(x, n) >= eps, iv) / (iv.hi - iv.lo)
-    return _curve(axis, eps, n, _curve_index(axis, iv.hi), vals)
+    vals = _interval_sums(_exceeds(deviations(x, n), eps), iv) / (iv.hi - iv.lo)
+    return _curve(axis, float(eps), n, _curve_index(axis, iv.hi), vals)
 
 
 def ac_sup_deviation(x: SeqSample, n: int) -> float:
@@ -442,7 +439,7 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     @cache
     def densities(n: int, grid: tuple[float, ...]) -> np.ndarray:
         dev = deviations(x, n)
-        return np.array([_interval_sums(dev >= e, iv) / span for e in grid])
+        return np.array([_interval_sums(_exceeds(dev, e), iv) / span for e in grid])
 
     verdicts, start = [], 0
     for axis, axis_iv in zip(axes, bounds):

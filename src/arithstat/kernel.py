@@ -148,9 +148,14 @@ def deviations(x: SeqSample, n: int) -> np.ndarray:
     return np.abs(out, out=out)
 
 
+def _exceeds(dev: np.ndarray, eps: float) -> np.ndarray:
+    """The exceedance flags dev >= eps on the raw floats, no tolerance, after checking eps."""
+    return dev >= _check_eps(eps)
+
+
 def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
     """The exceedance flags |x_m - x_<m,n>| >= eps for m = 1..T (entry m - 1)."""
-    return deviations(x, n) >= _check_eps(eps)
+    return _exceeds(deviations(x, n), eps)
 
 
 # ---------------------------------------------------------------------------

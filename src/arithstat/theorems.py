@@ -36,7 +36,7 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
-    _check_eps,
+    _exceeds,
     _flags,
     deviations,
     divisors,
@@ -194,7 +194,7 @@ def check_markov_step(x: SeqSample, scheme: LacunaryScheme, n: int,
     """
     iv = _intervals(x.length, "block", scheme, need=0)
     dev = deviations(x, n)
-    counts = _interval_sums(dev >= _check_eps(eps), iv).tolist()
+    counts = _interval_sums(_exceeds(dev, eps), iv).tolist()
     totals = _interval_fsums(dev, iv).tolist()
     return _block_reports("markov_step", x, {"scheme": scheme}, n, eps, (
         None if eps * count <= total else {"lhs": eps * count, "rhs": total}

@@ -130,6 +130,8 @@ class TestAnalyze:
         ("", "empty"),
         ("1.0\ntwo\n3.0\n", "non-numeric"),
         (b"1.0\n\xff\n", "not UTF-8"),
+        ("1.0\nnan\n", "not finite"),
+        ("1.0\n1e400\n", "overflows to inf"),
     ])
     def test_bad_csv_is_input_error(self, tmp_path, content, reason, capsys):
         seq = tmp_path / "seq.csv"
@@ -139,7 +141,9 @@ class TestAnalyze:
             seq.write_text(content)
         rc = main(["analyze", "--input", str(seq), "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT, reason
-        assert_one_line_input_error(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert_one_line_input_error(err)
+        assert str(seq) in err, reason
 
     @pytest.mark.parametrize("name, text, length", [
         # the deviations' fsum in ntheta_norm overflowed and raised
@@ -551,6 +555,10 @@ class TestScheme:
             json.dumps({"geometric": {"ratio": 2, "count": 3, "start": True}}),
             json.dumps({"polynomial": {"degree": True, "count": 3}}),
             json.dumps({"factorial": {"count": "3"}}),
+            # two generator keys are refused, not read by whichever key is tested first
+            json.dumps({"geometric": {"ratio": 2, "count": 12},
+                        "polynomial": {"degree": 2, "count": 40}}),
+            json.dumps({"points": [1, 2, 4, 8], "factorial": {"count": 5}}),
         ]
         path = tmp_path / "s.json"
         for text in texts:
