@@ -476,7 +476,7 @@ def cmd_analyze(cfg: RunConfig) -> None:
     }
     _write_all(out, {"report.json": partial(_dump_json, report),
                      "curves.csv": partial(_dump_csv, CSV_HEADER, (
-                         (c.axis, i, c.epsilon, c.witness, v)
+                         (c.axis, i, c.epsilon, c.n, v)
                          for c in curves for i, v in c.points))})
     wit = f" (witness n = {asc.witness})" if asc.witness else ""
     print(f"asc: {asc.outcome.value}{wit}")

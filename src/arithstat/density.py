@@ -108,7 +108,7 @@ class DensityCurve:
 
     axis: str
     epsilon: float
-    witness: int
+    n: int
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
@@ -297,57 +297,55 @@ class Outcome(str, Enum):
 
 
 @dataclass(frozen=True)
-class ConvergenceVerdict:
-    """Three-valued decision plus the evidence it rests on.
+class _Verdict:
+    """An outcome, and the modulus `evaluated_n` whose curves it rests on.
 
-    `witness` is present exactly when the outcome is ConvergentAtScale and is
-    then the smallest passing modulus. `tail_densities` pairs each epsilon of
-    `policy.grid` with the tail average of its density curve at `evaluated_n`
-    (the witness when convergent, otherwise the best candidate seen). The
-    curves behind those tails are kept as evidence outside `to_dict`: their
-    index (t or r) and one row of densities per grid epsilon; `curves()`
-    returns them as DensityCurve objects.
+    `witness` is derived: evaluated_n when ConvergentAtScale, otherwise None.
     """
 
     outcome: Outcome
-    witness: int | None
     evaluated_n: int
-    axis: str
-    tail_densities: tuple[tuple[float, float], ...]
-    policy: VerdictPolicy
-    curve_index: np.ndarray | None = field(default=None, compare=False, repr=False)
-    curve_densities: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if (self.witness is not None) != (self.outcome is Outcome.CONVERGENT):
-            raise ValueError("witness must be present iff the outcome is ConvergentAtScale")
-
-    def curves(self) -> tuple[DensityCurve, ...]:
-        """The density curve of each grid epsilon at evaluated_n (none if not kept)."""
-        if self.curve_densities is None:
-            return ()
-        return tuple(_curve(self.axis, e, self.evaluated_n, self.curve_index, row)
-                     for e, row in zip(self.policy.grid, self.curve_densities))
-
-    def tail_of(self, eps: float) -> float:
-        for e, t in self.tail_densities:
-            if e == eps:
-                return t
-        raise KeyError(f"epsilon {eps} not in the verdict grid")
+    @property
+    def witness(self) -> int | None:
+        return self.evaluated_n if self.outcome is Outcome.CONVERGENT else None
 
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "witness": self.witness,
-            "evaluated_n": self.evaluated_n,
-            "axis": self.axis,
-            "tail_densities": [[e, t] for e, t in self.tail_densities],
-            "policy": self.policy.to_dict(),
-        }
+        return {"outcome": self.outcome.value, "witness": self.witness,
+                "evaluated_n": self.evaluated_n}
 
 
 @dataclass(frozen=True)
-class MeanVerdict:
+class ConvergenceVerdict(_Verdict):
+    """Three-valued decision plus the evidence it rests on.
+
+    `tail_densities` pairs each epsilon of `policy.grid` with the tail
+    average of its density curve at `evaluated_n` (the witness when
+    convergent, otherwise the best candidate seen). The curves behind those
+    tails are kept as evidence outside `to_dict`: their index (t or r) and
+    one row of densities per grid epsilon; `curves()` returns them as
+    DensityCurve objects.
+    """
+
+    axis: str
+    tail_densities: tuple[tuple[float, float], ...]
+    policy: VerdictPolicy
+    curve_index: np.ndarray = field(compare=False, repr=False)
+    curve_densities: np.ndarray = field(compare=False, repr=False)
+
+    def curves(self) -> tuple[DensityCurve, ...]:
+        """The density curve of each grid epsilon at evaluated_n."""
+        return tuple(_curve(self.axis, e, self.evaluated_n, self.curve_index, row)
+                     for e, row in zip(self.policy.grid, self.curve_densities))
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "axis": self.axis,
+                "tail_densities": [[e, t] for e, t in self.tail_densities],
+                "policy": self.policy.to_dict()}
+
+
+@dataclass(frozen=True)
+class MeanVerdict(_Verdict):
     """Finite-scale decision for block-mean (Cesaro style) convergence.
 
     The curve is the per-block mean deviation rather than a density, so the
@@ -357,24 +355,12 @@ class MeanVerdict:
     policy's threshold grid plays no part, so `to_dict` leaves it out.
     """
 
-    outcome: Outcome
-    witness: int | None
-    evaluated_n: int
     tail_mean: float
     policy: VerdictPolicy
 
-    def __post_init__(self) -> None:
-        if (self.witness is not None) != (self.outcome is Outcome.CONVERGENT):
-            raise ValueError("witness must be present iff the outcome is ConvergentAtScale")
-
     def to_dict(self) -> dict:
-        return {
-            "outcome": self.outcome.value,
-            "witness": self.witness,
-            "evaluated_n": self.evaluated_n,
-            "tail_mean": self.tail_mean,
-            "policy": {k: v for k, v in asdict(self.policy).items() if k != "grid"},
-        }
+        return {**super().to_dict(), "tail_mean": self.tail_mean,
+                "policy": {k: v for k, v in asdict(self.policy).items() if k != "grid"}}
 
 
 def _tail_stats(curve: np.ndarray, window: int) -> tuple[float, bool]:
@@ -383,14 +369,14 @@ def _tail_stats(curve: np.ndarray, window: int) -> tuple[float, bool]:
 
 
 def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[np.ndarray]],
-            policy: VerdictPolicy) -> tuple[Outcome, int | None, int, list[float]]:
-    """Witness search over n = 1..n_max: (outcome, witness, evaluated_n, tails).
+            policy: VerdictPolicy) -> tuple[Outcome, int, list[float]]:
+    """Witness search over n = 1..n_max: (outcome, evaluated_n, tails).
 
-    Convergent at the smallest n whose every curve tail is <= tol. Otherwise
-    NotConvergent only if every n shows hard evidence (some curve with tail
-    >= tol_hi and a non-decreasing tail segment); else Inconclusive. Without
-    a witness, evaluated_n is the n whose largest tail is smallest. `tails`
-    holds the tail of each curve at evaluated_n.
+    Convergent at the smallest n whose every curve tail is <= tol; that n is
+    evaluated_n. Otherwise NotConvergent only if every n shows hard evidence
+    (some curve with tail >= tol_hi and a non-decreasing tail segment); else
+    Inconclusive, and evaluated_n is the n whose largest tail is smallest.
+    `tails` holds the tail of each curve at evaluated_n.
 
     `finest(n)` is the curve of the finest threshold, `full(n)` every curve
     in grid order. The flag sets are nested in epsilon, so the finest curve
@@ -408,7 +394,7 @@ def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[
     for n in range(1, policy.n_max + 1):
         top, mono = _tail_stats(finest(n), policy.tail_window)
         if top <= policy.tol:
-            return Outcome.CONVERGENT, n, n, [t for t, _ in stats(n)]
+            return Outcome.CONVERGENT, n, [t for t, _ in stats(n)]
         if every_n_hard and not (top >= policy.tol_hi and mono):
             every_n_hard = top >= policy.tol_hi and any(
                 t >= policy.tol_hi and m for t, m in stats(n))
@@ -416,7 +402,7 @@ def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[
             best = (top, n)
     assert best is not None
     outcome = Outcome.NOT_CONVERGENT if every_n_hard else Outcome.INCONCLUSIVE
-    return outcome, None, best[1], [t for t, _ in stats(best[1])]
+    return outcome, best[1], [t for t, _ in stats(best[1])]
 
 
 def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
@@ -445,11 +431,11 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     for axis, axis_iv in zip(axes, bounds):
         part = slice(start, start + axis_iv.hi.size)
         start = part.stop
-        outcome, witness, n, tails = _search(
+        outcome, n, tails = _search(
             lambda k, part=part: densities(k, policy.grid[-1:])[0, part],
             lambda k, part=part: densities(k, policy.grid)[:, part], policy)
         verdicts.append(ConvergenceVerdict(
-            outcome, witness, n, axis, tuple(zip(policy.grid, tails)), policy,
+            outcome, n, axis, tuple(zip(policy.grid, tails)), policy,
             _curve_index(axis, axis_iv.hi), densities(n, policy.grid)[:, part]))
     return verdicts
 
@@ -502,5 +488,5 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     def means(k: int) -> np.ndarray:
         return _interval_fsums(deviations(x, k), iv) / (iv.hi - iv.lo)
 
-    outcome, witness, n, tails = _search(means, lambda k: [means(k)], policy)
-    return MeanVerdict(outcome, witness, n, tails[0], policy)
+    outcome, n, tails = _search(means, lambda k: [means(k)], policy)
+    return MeanVerdict(outcome, n, tails[0], policy)

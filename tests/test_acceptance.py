@@ -117,7 +117,7 @@ def test_corollary_equivalence_experiment(family):
     exp = run_inclusion_experiment("corollary", evidence_table(family, GEOMETRIC_16))
     elapsed = time.perf_counter() - t0
     tails_ok = all(
-        max(c.right.tail_of(e) for e in DEFAULT_GRID) <= 0.02
+        max(dict(c.right.tail_densities)[e] for e in DEFAULT_GRID) <= 0.02
         for c in exp.comparisons
         if c.right.outcome is Outcome.CONVERGENT
     )
@@ -141,7 +141,7 @@ def test_zero_deviation_members_converge_exactly(family):
         v = asc_theta_verdict(x, GEOMETRIC_16)
         ok &= (has_exact_witness
                and v.outcome is Outcome.CONVERGENT
-               and all(v.tail_of(e) == 0.0 for e in DEFAULT_GRID))
+               and all(dict(v.tail_densities)[e] == 0.0 for e in DEFAULT_GRID))
     criterion(
         "zero-deviation members are blockwise convergent with tails exactly 0",
         ok,

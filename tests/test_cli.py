@@ -175,10 +175,15 @@ class TestAnalyze:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
 
-    def test_missing_file_is_input_error(self, tmp_path):
-        rc = main(["analyze", "--input", str(tmp_path / "absent.csv"),
-                   "--out", str(tmp_path / "o")])
-        assert rc == EXIT_INPUT
+    def test_missing_file_is_input_error(self, tmp_path, capsys, const_spec):
+        csv, scheme = tmp_path / "absent.csv", tmp_path / "absent.json"
+        for absent, args in ((csv, ["analyze", "--input", str(csv)]),
+                             (scheme, ["analyze", "--input", const_spec, "--length", "64",
+                                       "--scheme", str(scheme)]),
+                             (scheme, ["scheme", "--scheme", str(scheme)])):
+            rc = main([*args, "--out", str(tmp_path / "o")])
+            assert rc == EXIT_INPUT, args
+            assert capsys.readouterr().err == f"input error: no such file: {absent}\n", args
 
     def test_invalid_json_is_input_error(self, tmp_path, capsys):
         def scaled(depth: int) -> str:
@@ -527,6 +532,13 @@ class TestScheme:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_one_block_scheme_is_config_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", {"points": [1, 4]})
+        rc = main(["scheme", "--scheme", path, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: ratio statistics need a scheme with at least two blocks\n")
+
     def test_bad_scheme_spec_is_input_error(self, tmp_path, capsys):
         texts = [
             json.dumps({"points": [5, 3, 1]}),
@@ -605,6 +617,7 @@ class TestVerify:
         ("--tol-hi", "inf"),
         ("--tol-hi", "1e400"),
         ("--growth", "inf", "--tail-window", "1"),
+        ("--instances", "0"),
     ])
     def test_bad_family_config_is_refused_before_the_suites(self, tmp_path, capsys, flags):
         out = tmp_path / "out"

@@ -22,7 +22,6 @@ from arithstat.cli import build_parser
 from arithstat.density import (
     DEFAULT_GRID,
     DEFAULT_POLICY,
-    ConvergenceVerdict,
     Outcome,
     VerdictPolicy,
     ac_sup_deviation,
@@ -295,25 +294,12 @@ class TestAscVerdict:
         with pytest.raises(ValueError, match="checkpoints"):
             asc_verdict(SeqSample([1.0, 2.0, 3.0]))
 
-    def test_tail_of_lookup(self):
-        v = asc_verdict(gcdper(6, 2000))
-        assert v.tail_of(1.0) == 0.0
-        with pytest.raises(KeyError):
-            v.tail_of(0.3)
-
     def test_tail_equal_to_tol_converges(self):
         # 4 of 16 values deviate from x_1: the one-point tail is exactly 0.25
         policy = VerdictPolicy(tail_window=1, tol=0.25, tol_hi=0.5, n_max=1, grid=(1.0,))
         v = asc_verdict(SeqSample([0.0] * 12 + [1.0] * 4), policy)
         assert v.tail_densities == ((1.0, 0.25),)
         assert (v.outcome, v.witness) == (Outcome.CONVERGENT, 1)
-
-    def test_witness_iff_convergent_invariant(self):
-        with pytest.raises(ValueError, match="witness"):
-            ConvergenceVerdict(
-                Outcome.INCONCLUSIVE, 3, 3, "prefix",
-                ((1.0, 0.5),), VerdictPolicy(grid=(1.0,)),
-            )
 
 
 class TestAscThetaVerdict:
@@ -475,7 +461,7 @@ class TestBruteForceRecount:
             assert [e for e, _ in verdict.tail_densities] == list(DEFAULT_GRID)
             for (_, got), want in zip(verdict.tail_densities, tails):
                 assert abs(got - want) <= 1e-12
-            assert [(c.axis, c.epsilon, c.witness) for c in verdict.curves()] == [
+            assert [(c.axis, c.epsilon, c.n) for c in verdict.curves()] == [
                 (axis, e, evaluated_n) for e in DEFAULT_GRID]
             for e, curve in zip(DEFAULT_GRID, verdict.curves()):
                 assert curve.points == tuple(

@@ -260,6 +260,15 @@ COARSE_5 = make_scheme([1, 4, 16, 64, 256, 1024])
 FINE_10 = make_scheme(sorted(set(COARSE_5.points) | {2, 9, 40, 100, 500}))
 
 
+def shift_direct_count(monkeypatch):
+    """Take the direct count over (lo + 1, hi + 1] in place of (lo, hi]; the slice
+    counts stay as they are."""
+    def shifted(flags, iv, fn=theorems._interval_sums):
+        return fn(np.append(flags[1:], False), iv)
+
+    monkeypatch.setattr(theorems, "_interval_sums", shifted)
+
+
 class TestRefinementAggregation:
     def test_one_passing_report_per_coarse_block_inside_the_sample(self):
         x = gcdper(6, 300)  # blocks (1, 4] to (64, 256] fit, (256, 1024] does not
@@ -269,18 +278,24 @@ class TestRefinementAggregation:
         assert _flags(x, 1, 0.5)[1:256].any()
 
     def test_a_shifted_count_fails_with_integer_counts(self, monkeypatch):
-        # the direct count taken over (lo + 1, hi + 1] in place of (lo, hi]; the fine
-        # blocks are counted by slice, so only block (1, 4], whose bounds 2 and 5
-        # differ in flag, parts: 3, 4, 5 hold two flags and 2, 3, 4 hold three
-        def shifted(flags, iv, fn=theorems._interval_sums):
-            return fn(np.append(flags[1:], False), iv)
-
-        monkeypatch.setattr(theorems, "_interval_sums", shifted)
+        # the fine blocks are counted by slice, so only block (1, 4], whose bounds 2
+        # and 5 differ in flag, parts: 3, 4, 5 hold two flags and 2, 3, 4 hold three
+        shift_direct_count(monkeypatch)
         reports = check_refinement_aggregation(gcdper(6, 1024), COARSE_5, FINE_10, 1, 0.5)
         assert [rep.passed for rep in reports] == [False, True, True, True, True]
         witness = reports[0].witness
         assert witness == {"direct": 2, "aggregated": 3}
         assert type(witness["direct"]) is type(witness["aggregated"]) is int
+
+    def test_a_shifted_count_fails_the_delta_transfer(self, monkeypatch):
+        # a scheme refines itself with delta 1, and each pair is its coarse block: block
+        # (1, 4] holds three flags by slice and two by the shifted count, so 3/3 > 2/3
+        x = gcdper(6, 1024)
+        assert check_delta_transfer(x, COARSE_5, COARSE_5, 1, 0.5).passed
+        shift_direct_count(monkeypatch)
+        rep = check_delta_transfer(x, COARSE_5, COARSE_5, 1, 0.5)
+        assert not rep.passed
+        assert rep.witness == {"coarse_block": 1, "fine_block": 1, "lhs": 1.0, "rhs": 2 / 3}
 
 
 @st.composite
