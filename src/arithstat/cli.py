@@ -211,6 +211,29 @@ def _number(v) -> float:
     return float(v)
 
 
+def _known_fields(obj, fields: tuple[str, ...]) -> None:
+    """ValueError naming the first key of a JSON object outside `fields`."""
+    for key in obj if isinstance(obj, dict) else ():
+        if key not in fields:
+            raise ValueError(f"unknown field {key!r}")
+
+
+#: the fields of each generator kind, besides "kind", and of each scheme generator
+_SPEC_FIELDS = {
+    "constant": ("value",),
+    "gcd_periodic": ("modulus", "table"),
+    "sparse_spike": ("height", "base", "support", "power", "rate", "seed"),
+    "scaled": ("factor", "child"),
+    "sum": ("left", "right"),
+}
+_SCHEME_FIELDS = {
+    "points": (),  # a list, not an object
+    "geometric": ("ratio", "count", "start"),
+    "polynomial": ("degree", "count"),
+    "factorial": ("count",),
+}
+
+
 def parse_generator_spec(obj) -> GeneratorSpec:
     """JSON object -> generator spec. See README for the vocabulary."""
     return _parse_spec(obj, 1)
@@ -222,7 +245,10 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
     if not isinstance(obj, dict):
         raise InputError(f"generator spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise InputError(f"unknown generator kind {kind!r}")
     try:
+        _known_fields(obj, ("kind", *_SPEC_FIELDS[kind]))
         if kind == "constant":
             return Constant(_number(obj["value"]))
         if kind == "gcd_periodic":
@@ -242,14 +268,11 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
             )
         if kind == "scaled":
             return Scaled(_number(obj["factor"]), _parse_spec(obj["child"], depth + 1))
-        if kind == "sum":
-            return Summed(_parse_spec(obj["left"], depth + 1),
-                          _parse_spec(obj["right"], depth + 1))
+        return Summed(_parse_spec(obj["left"], depth + 1), _parse_spec(obj["right"], depth + 1))
     except InputError:
         raise
     except _VALUE_ERRORS as e:
         raise InputError(f"bad {kind!r} spec: {e}") from None
-    raise InputError(f"unknown generator kind {kind!r}")
 
 
 def parse_scheme_spec(obj) -> LacunaryScheme:
@@ -262,20 +285,21 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
     """
     if not isinstance(obj, dict):
         raise InputError(f"scheme spec must be a JSON object, got {type(obj).__name__}")
-    if sum(k in obj for k in ("points", "geometric", "polynomial", "factorial")) != 1:
+    if sum(k in obj for k in _SCHEME_FIELDS) != 1:
         raise InputError("scheme spec needs exactly one of 'points', 'geometric', "
                          "'polynomial', or 'factorial'")
     try:
+        _known_fields(obj, tuple(_SCHEME_FIELDS))
         if "points" in obj:
             return make_scheme(map(_integer, obj["points"]))
-        if "geometric" in obj:
-            g = obj["geometric"]
+        [(key, g)] = obj.items()
+        _known_fields(g, _SCHEME_FIELDS[key])
+        if key == "geometric":
             points = geometric_points(_number(g["ratio"]), _integer(g.get("start", 1)))
             return first_blocks(points, _integer(g["count"]))
-        if "polynomial" in obj:
-            g = obj["polynomial"]
+        if key == "polynomial":
             return first_blocks(polynomial_points(_integer(g["degree"])), _integer(g["count"]))
-        return first_blocks(factorial_points(), _integer(obj["factorial"]["count"]))
+        return first_blocks(factorial_points(), _integer(g["count"]))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
 
@@ -587,7 +611,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
                 rep = continuity_battery(fn, table)
                 base.append(rep)
                 continuity_report[f"battery_{label}"] = rep.to_dict()
-                good = rep.contradiction_count == 0 and rep.support_count > 0
+                good = rep.count("contradiction") == 0 and rep.count("support") > 0
                 checks.append((f"continuity battery {label}", good))
             closure = closure_checks(*base, table)
             continuity_report["closure"] = closure.to_dict()
@@ -629,7 +653,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
             step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
             rep = continuity_battery(step, table + crossing)
             controls["step_battery"] = rep.to_dict()
-            good = rep.contradiction_count >= 1
+            good = rep.count("contradiction") >= 1
             checks.append(("control: step function produces a contradiction", good))
         except (HypothesisNotMet, ValueError) as e:
             raise ConfigError(str(e)) from None

@@ -25,7 +25,7 @@ from .density import (
     asc_theta_verdict,
 )
 from .lacunary import LacunaryScheme
-from .theorems import CheckReport, Evidence, HypothesisNotMet, SequenceComparison, verdict_status
+from .theorems import CheckReport, Evidence, HypothesisNotMet, SequenceComparison
 
 __all__ = [
     "Affine",
@@ -189,17 +189,16 @@ class ContinuityReport:
     """Preservation evidence for one function over one family.
 
     Each entry pairs a member's verdict before mapping with its verdict after
-    (None when skipped), and `verdict_status` gives its status: a member not
-    convergent before mapping is skipped, and only NotConvergentAtScale after
-    mapping contradicts.
+    (None when skipped), and `count(status)` tallies the entries by their
+    `verdict_status`: a member not convergent before mapping is skipped, and
+    only NotConvergentAtScale after mapping contradicts.
     """
 
     function: RealFunction
     entries: tuple[SequenceComparison, ...]
-    support_count: int
-    contradiction_count: int
-    inconclusive_count: int
-    skipped_count: int
+
+    def count(self, status: str) -> int:
+        return sum(e.status == status for e in self.entries)
 
     def to_dict(self) -> dict:
         return {
@@ -208,10 +207,10 @@ class ContinuityReport:
                          "input_witness": e.left.witness,
                          "mapped_outcome": None if e.right is None else e.right.outcome.value,
                          "status": e.status} for e in self.entries],
-            "support": self.support_count,
-            "contradictions": self.contradiction_count,
-            "inconclusive": self.inconclusive_count,
-            "skipped": self.skipped_count,
+            "support": self.count("support"),
+            "contradictions": self.count("contradiction"),
+            "inconclusive": self.count("inconclusive"),
+            "skipped": self.count("skipped"),
         }
 
 
@@ -226,11 +225,8 @@ def continuity_battery(f: RealFunction, table: Sequence[Evidence]) -> Continuity
         vin = e.theta
         vout = (asc_theta_verdict(map_sequence(f, e.sample), e.scheme, vin.policy)
                 if vin.outcome is Outcome.CONVERGENT else None)
-        status = verdict_status(vin, vout)
-        entries.append(SequenceComparison(e.name, vin, vout, status != "contradiction"))
-    statuses = [e.status for e in entries]
-    return ContinuityReport(f, tuple(entries), *map(
-        statuses.count, ("support", "contradiction", "inconclusive", "skipped")))
+        entries.append(SequenceComparison(e.name, vin, vout))
+    return ContinuityReport(f, tuple(entries))
 
 
 def closure_checks(f_report: ContinuityReport, g_report: ContinuityReport,
@@ -243,19 +239,17 @@ def closure_checks(f_report: ContinuityReport, g_report: ContinuityReport,
     """
     f, g = f_report.function, g_report.function
     instance = {"f": describe_fn(f), "g": describe_fn(g), "family_size": len(table)}
-    if f_report.contradiction_count or g_report.contradiction_count:
-        return CheckReport(
-            "closure_checks", instance, True,
-            {"note": "vacuous, a base function already contradicts",
-             "f_contradictions": f_report.contradiction_count,
-             "g_contradictions": g_report.contradiction_count},
-        )
+    f_bad, g_bad = f_report.count("contradiction"), g_report.count("contradiction")
+    if f_bad or g_bad:
+        return CheckReport("closure_checks", instance, True,
+                           {"note": "vacuous, a base function already contradicts",
+                            "f_contradictions": f_bad, "g_contradictions": g_bad})
     derived = {
         "sum": continuity_battery(FnSum(f, g), table),
         "difference": continuity_battery(FnDifference(f, g), table),
         "composition": continuity_battery(Composition(f, g), table),
     }
-    bad = {k: r.contradiction_count for k, r in derived.items() if r.contradiction_count}
+    bad = {k: c for k, r in derived.items() if (c := r.count("contradiction"))}
     return CheckReport("closure_checks", instance, not bad, {"contradictions": bad} if bad else None)
 
 

@@ -281,8 +281,6 @@ def spike_support(spec: SparseSpike, length: int) -> np.ndarray:
         return np.array([s for s in spec.support if s <= length], dtype=np.int64)
     if spec.rate is not None:
         m = np.arange(2, length + 1, dtype=np.int64)
-        if m.size == 0:
-            return m
         probs = np.minimum(1.0, spec.rate / m)
         draws = np.random.default_rng(spec.seed).random(m.size)
         return m[draws < probs]

@@ -164,17 +164,19 @@ def is_refinement(coarse: LacunaryScheme, fine: LacunaryScheme) -> bool:
 class RelationPair:
     """One sub-interval (lo, hi] of a block of the first scheme.
 
-    `size` counts its integers, `coarse_size` the integers of the enclosing
-    (or intersected) block of the first scheme, and ratio = size / coarse_size.
+    `size` counts its integers, and `coarse_size` the integers of the
+    enclosing (or intersected) block of the first scheme.
     """
 
     coarse_index: int
     fine_index: int
     lo: int
     hi: int
-    size: int
     coarse_size: int
-    ratio: float
+
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo
 
     def to_dict(self) -> dict:
         return {
@@ -184,7 +186,7 @@ class RelationPair:
             "hi": self.hi,
             "size": self.size,
             "coarse_size": self.coarse_size,
-            "ratio": self.ratio,
+            "ratio": self.size / self.coarse_size,
         }
 
 
@@ -194,13 +196,16 @@ class SchemeRelation:
 
     kind = "refinement": pairs map each coarse block to the fine blocks tiling
     it. kind = "general-pair": pairs list every nonempty intersection of one
-    block from each scheme. delta is the minimum ratio over pairs (None when
-    the schemes' ranges do not overlap at all).
+    block from each scheme. delta is the minimum ratio size / coarse_size
+    over pairs (None when the schemes' ranges do not overlap at all).
     """
 
     kind: str
     pairs: tuple[RelationPair, ...]
-    delta: float | None
+
+    @property
+    def delta(self) -> float | None:
+        return min((p.size / p.coarse_size for p in self.pairs), default=None)
 
     def delta_fraction(self) -> Fraction:
         if not self.pairs:
@@ -242,12 +247,10 @@ def block_intersections(a: LacunaryScheme, b: LacunaryScheme) -> SchemeRelation:
         blo, bhi = b.block(j)
         lo, hi = max(alo, blo), min(ahi, bhi)
         if lo < hi:
-            size = hi - lo
-            pairs.append(RelationPair(i, j, lo, hi, size, ahi - alo, size / (ahi - alo)))
+            pairs.append(RelationPair(i, j, lo, hi, ahi - alo))
         if ahi <= bhi:
             i += 1
         if bhi <= ahi:
             j += 1
-    delta = min((p.ratio for p in pairs), default=None)
-    return SchemeRelation("general-pair", tuple(pairs), delta)
+    return SchemeRelation("general-pair", tuple(pairs))
 

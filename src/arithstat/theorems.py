@@ -344,16 +344,22 @@ class SequenceComparison:
     """Verdict pair for one family member under one implication.
 
     In a continuity battery, `right` is None when `left` is not convergent.
+    With `both_ways`, `supports` also needs the reverse pair not to contradict.
     """
 
     name: str
     left: ConvergenceVerdict | MeanVerdict
     right: ConvergenceVerdict | None
-    supports: bool
+    both_ways: bool = False
 
     @property
     def status(self) -> str:
         return verdict_status(self.left, self.right)
+
+    @property
+    def supports(self) -> bool:
+        return self.status != "contradiction" and not (
+            self.both_ways and verdict_status(self.right, self.left) == "contradiction")
 
     def to_dict(self) -> dict:
         return {
@@ -369,18 +375,29 @@ class InclusionExperiment:
     """Family-level evidence for one inclusion between convergence notions."""
 
     hypothesis: str
-    scheme_points: tuple[int, ...]
-    liminf_estimate: float
-    limsup_estimate: float
+    scheme: LacunaryScheme
     comparisons: tuple[SequenceComparison, ...]
-    summary: dict
+
+    @property
+    def summary(self) -> dict:
+        statuses = [c.status for c in self.comparisons]
+        contradictions = sum(not c.supports for c in self.comparisons)
+        return {
+            "total": len(statuses),
+            "supported": len(statuses) - contradictions,
+            "contradictions": contradictions,
+            "left_convergent": len(statuses) - statuses.count("skipped"),
+            "both_convergent": statuses.count("support"),
+            "right_inconclusive_when_left_convergent": statuses.count("inconclusive"),
+        }
 
     def to_dict(self) -> dict:
+        lo, hi = q_ratio_stats(self.scheme)
         return {
             "hypothesis": self.hypothesis,
-            "scheme_points": list(self.scheme_points),
-            "liminf_estimate": self.liminf_estimate,
-            "limsup_estimate": self.limsup_estimate,
+            "scheme_points": list(self.scheme.points),
+            "liminf_estimate": lo,
+            "limsup_estimate": hi,
             "comparisons": [c.to_dict() for c in self.comparisons],
             "summary": self.summary,
         }
@@ -421,7 +438,7 @@ def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence]) -> Incl
     either. Inconclusive right verdicts are tallied but never contradict.
     """
     scheme = table[0].scheme
-    lim_lo, lim_hi = ratio_gate(hypothesis, scheme)
+    ratio_gate(hypothesis, scheme)
 
     comparisons = []
     for e in table:
@@ -430,23 +447,8 @@ def run_inclusion_experiment(hypothesis: str, table: Sequence[Evidence]) -> Incl
         else:
             # lac1 and corollary share the left-to-right orientation
             left, right = (e.theta, e.asc) if hypothesis == "lac2" else (e.asc, e.theta)
-        supports = verdict_status(left, right) != "contradiction" and not (
-            hypothesis == "corollary" and verdict_status(right, left) == "contradiction")
-        comparisons.append(SequenceComparison(e.name, left, right, supports))
-
-    statuses = [c.status for c in comparisons]
-    contradictions = sum(not c.supports for c in comparisons)
-    summary = {
-        "total": len(comparisons),
-        "supported": len(comparisons) - contradictions,
-        "contradictions": contradictions,
-        "left_convergent": len(statuses) - statuses.count("skipped"),
-        "both_convergent": statuses.count("support"),
-        "right_inconclusive_when_left_convergent": statuses.count("inconclusive"),
-    }
-    return InclusionExperiment(
-        hypothesis, scheme.points, lim_lo, lim_hi, tuple(comparisons), summary,
-    )
+        comparisons.append(SequenceComparison(e.name, left, right, hypothesis == "corollary"))
+    return InclusionExperiment(hypothesis, scheme, tuple(comparisons))
 
 
 # ---------------------------------------------------------------------------

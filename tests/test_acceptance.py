@@ -183,7 +183,7 @@ def test_negative_controls():
 
     step = Tabulated((0.0, 1.0), (0.0, 1.0), rule="step")
     battery = continuity_battery(step, table)
-    battery_ok = battery.contradiction_count >= 1
+    battery_ok = battery.count("contradiction") >= 1
 
     criterion(
         "negative controls: ramp diverges, square scheme refused, step contradicts",

@@ -238,6 +238,10 @@ class TestAnalyze:
         {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, "06": 1}},
         {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, "+6": 1}},
         {"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1, "3": 1, "6": 6, " 6": 1}},
+        # a misspelt field would otherwise be ignored and its default used
+        {"kind": "sparse_spike", "hieght": 4, "power": 3},
+        {"kind": "constant", "value": 1, "power": 3},
+        {"kind": "scaled", "factor": 2, "child": {"kind": "constant", "value": 1, "x": 0}},
     ])
     def test_bad_generator_spec_is_input_error(self, tmp_path, capsys, spec):
         path = write_json(tmp_path / "spec.json", spec)
@@ -571,6 +575,11 @@ class TestScheme:
             json.dumps({"geometric": {"ratio": 2, "count": 12},
                         "polynomial": {"degree": 2, "count": 40}}),
             json.dumps({"points": [1, 2, 4, 8], "factorial": {"count": 5}}),
+            # a misspelt or extra field would otherwise be ignored
+            json.dumps({"geometric": {"ratio": 2, "count": 12, "strat": 5}}),
+            json.dumps({"polynomial": {"degree": 2, "count": 12, "ratio": 2}}),
+            json.dumps({"factorial": {"count": 5, "start": 2}}),
+            json.dumps({"points": [1, 2, 4, 8], "note": 1}),
         ]
         path = tmp_path / "s.json"
         for text in texts:
@@ -578,6 +587,22 @@ class TestScheme:
             rc = main(["scheme", "--scheme", str(path), "--out", str(tmp_path / "o")])
             assert rc == EXIT_INPUT, text
             assert_one_line_input_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command, spec, message", [
+        ("analyze", {"kind": "sparse_spike", "hieght": 4, "power": 3},
+         "bad 'sparse_spike' spec: unknown field 'hieght'"),
+        # the kind is checked before its fields
+        ("analyze", {"kind": "mystery", "x": 1}, "unknown generator kind 'mystery'"),
+        ("scheme", {"geometric": {"ratio": 2, "count": 12, "strat": 5}},
+         "bad scheme spec: unknown field 'strat'"),
+        ("scheme", {"points": [1, 2, 4, 8], "note": 1}, "bad scheme spec: unknown field 'note'"),
+    ])
+    def test_unknown_spec_field_is_named(self, tmp_path, capsys, command, spec, message):
+        path = write_json(tmp_path / "spec.json", spec)
+        flag = ["--input", path, "--length", "4096"] if command == "analyze" else ["--scheme", path]
+        rc = main([command, *flag, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 class TestVerify:
@@ -603,6 +628,19 @@ class TestVerify:
         failures = report["property_suites"]["scalar_closure"]["failures"]
         assert any(f["instance"].get("injected") for f in failures)
         assert "FAIL  property scalar_closure" in capsys.readouterr().out
+
+    def test_square_scheme_control_fails_when_the_gate_lets_it_through(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # the experiments read theorems.ratio_gate, so only the control sees this gate
+        monkeypatch.setattr(cli, "ratio_gate", lambda hypothesis, scheme: (1.0, 1.0))
+        out = tmp_path / "out"
+        rc = main(["verify", "--instances", "20", "--out", str(out)])
+        assert rc == EXIT_VERIFY_FAILED
+        assert ("FAIL  control: square scheme refuses the lac1 experiment"
+                in capsys.readouterr().out)
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["negative_controls"]["lac1_refusal"] == {
+            "refused": False, "note": "experiment unexpectedly ran"}
 
     @pytest.mark.parametrize("flags", [
         ("--growth", "1.000000001"),  # over 100,000 checkpoint steps

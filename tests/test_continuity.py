@@ -115,9 +115,9 @@ class TestApplyFn:
 class TestBattery:
     def test_affine_preserves_everything(self):
         rep = continuity_battery(Affine(2.0, -1.0), TABLE)
-        assert rep.contradiction_count == 0
-        assert rep.support_count == 12
-        assert rep.skipped_count == 0
+        assert rep.count("contradiction") == 0
+        assert rep.count("support") == 12
+        assert rep.count("skipped") == 0
         assert len(rep.entries) == 12
 
     def test_non_convergent_members_are_skipped(self):
@@ -125,7 +125,7 @@ class TestBattery:
         rep = continuity_battery(Clamp(-1.0, 5.0), table)
         by_name = {e.name: e for e in rep.entries}
         assert by_name["ramp"].status == "skipped"
-        assert rep.skipped_count == 1
+        assert rep.count("skipped") == 1
         # a skipped member's mapped side was never searched, and its row still reports
         assert by_name["ramp"].to_dict()["right"] is None
         assert rep.to_dict()["entries"][-1] == {
@@ -134,7 +134,7 @@ class TestBattery:
 
     def test_step_contradicts_on_crossing(self):
         rep = continuity_battery(STEP_AT_ONE, TABLE + CROSSING)
-        assert rep.contradiction_count == 1
+        assert rep.count("contradiction") == 1
         by_name = {e.name: e for e in rep.entries}
         entry = by_name["crossing"]
         assert entry.status == "contradiction"
@@ -144,8 +144,8 @@ class TestBattery:
 
     def test_counts_sum_to_family_size(self):
         rep = continuity_battery(Polynomial((0.0, 1.0, 0.125)), TABLE)
-        total = (rep.support_count + rep.contradiction_count
-                 + rep.inconclusive_count + rep.skipped_count)
+        total = (rep.count("support") + rep.count("contradiction")
+                 + rep.count("inconclusive") + rep.count("skipped"))
         assert total == len(FAMILY)
 
     def test_empty_family_rejected(self):

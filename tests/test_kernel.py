@@ -253,6 +253,10 @@ class TestSparseSpike:
     def test_index_one_never_spiked_by_power_or_rate(self):
         assert 1 not in spike_support(SparseSpike(power=2), 100)
         assert 1 not in spike_support(SparseSpike(rate=5.0, seed=11), 100)
+        # at length 1 the rate rule has no index to draw for
+        empty = spike_support(SparseSpike(rate=2.0), 1)
+        assert empty.dtype == np.int64 and empty.size == 0
+        assert list(generate(SparseSpike(height=5.0, rate=2.0), 1).values) == [0.0]
 
     def test_rate_rule_is_seed_reproducible(self):
         a = spike_support(SparseSpike(rate=2.0, seed=42), 5000)

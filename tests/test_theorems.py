@@ -419,8 +419,9 @@ class TestInclusionExperiments:
 
     def test_experiment_reads_the_scheme_of_its_table(self):
         exp = run_inclusion_experiment("lac1", self.TABLE)
-        assert exp.scheme_points == self.SCHEME.points
-        assert (exp.liminf_estimate, exp.limsup_estimate) == ratio_gate("lac1", self.SCHEME)
+        assert exp.scheme.points == self.SCHEME.points
+        d = exp.to_dict()
+        assert (d["liminf_estimate"], d["limsup_estimate"]) == ratio_gate("lac1", self.SCHEME)
 
     def test_refusal_margins_are_pinned(self):
         assert MIN_LIMINF == 1.05
