@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import deque
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Container, Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
@@ -211,27 +211,58 @@ def _number(v) -> float:
     return float(v)
 
 
-def _known_fields(obj, fields: tuple[str, ...]) -> None:
+def _known_fields(obj: dict, fields: Container[str]) -> None:
     """ValueError naming the first key of a JSON object outside `fields`."""
-    for key in obj if isinstance(obj, dict) else ():
+    for key in obj:
         if key not in fields:
             raise ValueError(f"unknown field {key!r}")
 
 
-#: the fields of each generator kind, besides "kind", and of each scheme generator
-_SPEC_FIELDS = {
-    "constant": ("value",),
-    "gcd_periodic": ("modulus", "table"),
-    "sparse_spike": ("height", "base", "support", "power", "rate", "seed"),
-    "scaled": ("factor", "child"),
-    "sum": ("left", "right"),
-}
-_SCHEME_FIELDS = {
-    "points": (),  # a list, not an object
-    "geometric": ("ratio", "count", "start"),
-    "polynomial": ("degree", "count"),
-    "factorial": ("count",),
-}
+class _WrongType(ValueError):
+    """A field holds another JSON type than its reader takes; the message says which."""
+
+
+def _json(cls: type, v):
+    """`v` if it is a JSON object (`cls` dict) or list (`cls` list), else _WrongType."""
+    if not isinstance(v, cls):
+        name = "object" if cls is dict else "list"
+        raise _WrongType(f"must be a JSON {name}, got {type(v).__name__}")
+    return v
+
+
+def _or_null(read: Callable) -> Callable:
+    """A field reader that also takes JSON null, as None."""
+    return lambda v: None if v is None else read(v)
+
+
+def _integers(v) -> tuple[int, ...]:
+    """A JSON list of integers."""
+    return tuple(map(_integer, _json(list, v)))
+
+
+def _table(v) -> dict[int, float]:
+    """A gcd_periodic table from divisor to value; ValueError if two keys name one divisor."""
+    table = {int(k): _number(x) for k, x in _json(dict, v).items()}
+    if len(table) != len(v):
+        raise ValueError("two table keys name the same divisor")
+    return table
+
+
+def _fields(obj: dict, readers: dict[str, Callable]) -> dict:
+    """Each field of a JSON object through its reader. ValueError names a field that has
+    no reader or holds another JSON type than its reader takes."""
+    _known_fields(obj, readers)
+    fields = {}
+    for key, v in obj.items():
+        try:
+            fields[key] = readers[key](v)
+        except _WrongType as e:
+            raise ValueError(f"field {key!r} {e}") from None
+    return fields
+
+
+def _first_blocks(points: Callable[..., Iterator[int]], count: int, **fields) -> LacunaryScheme:
+    return first_blocks(points(**fields), count)
 
 
 def parse_generator_spec(obj) -> GeneratorSpec:
@@ -245,61 +276,53 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
     if not isinstance(obj, dict):
         raise InputError(f"generator spec must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
         raise InputError(f"unknown generator kind {kind!r}")
+    make, readers = _SPEC_KINDS[kind]
+    child = partial(_parse_spec, depth=depth + 1)
+    readers = {key: child if read is _parse_spec else read for key, read in readers.items()}
     try:
-        _known_fields(obj, ("kind", *_SPEC_FIELDS[kind]))
-        if kind == "constant":
-            return Constant(_number(obj["value"]))
-        if kind == "gcd_periodic":
-            table = {int(k): _number(v) for k, v in obj["table"].items()}
-            if len(table) != len(obj["table"]):
-                raise ValueError("two table keys name the same divisor")
-            return GcdPeriodic(_integer(obj["modulus"]), table)
-        if kind == "sparse_spike":
-            support = obj.get("support")
-            return SparseSpike(
-                height=_number(obj.get("height", 1.0)),
-                base=_number(obj.get("base", 0.0)),
-                support=None if support is None else tuple(map(_integer, support)),
-                power=None if obj.get("power") is None else _integer(obj["power"]),
-                rate=None if obj.get("rate") is None else _number(obj["rate"]),
-                seed=_integer(obj.get("seed", 0)),
-            )
-        if kind == "scaled":
-            return Scaled(_number(obj["factor"]), _parse_spec(obj["child"], depth + 1))
-        return Summed(_parse_spec(obj["left"], depth + 1), _parse_spec(obj["right"], depth + 1))
-    except InputError:
-        raise
+        return make(**_fields({k: v for k, v in obj.items() if k != "kind"}, readers))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad {kind!r} spec: {e}") from None
 
 
+#: each generator kind's spec class and field readers; `_parse_spec` reads a child spec
+_SPEC_KINDS = {
+    "constant": (Constant, {"value": _number}),
+    "gcd_periodic": (GcdPeriodic, {"modulus": _integer, "table": _table}),
+    "sparse_spike": (SparseSpike, {"height": _number, "base": _number, "seed": _integer,
+                                   "power": _or_null(_integer), "rate": _or_null(_number),
+                                   "support": _or_null(_integers)}),
+    "scaled": (Scaled, {"factor": _number, "child": _parse_spec}),
+    "sum": (Summed, {"left": _parse_spec, "right": _parse_spec}),
+}
+#: each scheme generator's breakpoint generator and field readers, besides the block count
+_SCHEME_KINDS = {
+    "geometric": (geometric_points, {"ratio": _number, "start": _integer}),
+    "polynomial": (polynomial_points, {"degree": _integer}),
+    "factorial": (factorial_points, {}),
+}
+
+
 def parse_scheme_spec(obj) -> LacunaryScheme:
     """JSON object -> scheme: explicit points or a generator, under exactly one key.
-
-    Generators (count is always the number of blocks):
-      {"geometric": {"ratio": 2.0, "count": 16, "start": 1}}
-      {"polynomial": {"degree": 2, "count": 99}}
-      {"factorial": {"count": 8}}
-    """
+    See README for the vocabulary."""
     if not isinstance(obj, dict):
         raise InputError(f"scheme spec must be a JSON object, got {type(obj).__name__}")
-    if sum(k in obj for k in _SCHEME_FIELDS) != 1:
-        raise InputError("scheme spec needs exactly one of 'points', 'geometric', "
-                         "'polynomial', or 'factorial'")
+    keys = ("points", *_SCHEME_KINDS)
+    if sum(k in obj for k in keys) != 1:
+        *rest, last = map(repr, keys)
+        raise InputError(f"scheme spec needs exactly one of {', '.join(rest)}, or {last}")
     try:
-        _known_fields(obj, tuple(_SCHEME_FIELDS))
-        if "points" in obj:
-            return make_scheme(map(_integer, obj["points"]))
+        _known_fields(obj, keys)
         [(key, g)] = obj.items()
-        _known_fields(g, _SCHEME_FIELDS[key])
-        if key == "geometric":
-            points = geometric_points(_number(g["ratio"]), _integer(g.get("start", 1)))
-            return first_blocks(points, _integer(g["count"]))
-        if key == "polynomial":
-            return first_blocks(polynomial_points(_integer(g["degree"])), _integer(g["count"]))
-        return first_blocks(factorial_points(), _integer(g["count"]))
+        if key == "points":
+            return make_scheme(_integers(g))
+        points, readers = _SCHEME_KINDS[key]
+        return _first_blocks(points, **_fields(_json(dict, g), {"count": _integer, **readers}))
+    except _WrongType as e:  # the value under the one key
+        raise InputError(f"bad scheme spec: field {key!r} {e}") from None
     except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
 
@@ -578,7 +601,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
     try:
         # every verdict of the family, searched before the suites run, so a
         # config the experiments below cannot use is refused first
-        scheme = make_scheme(points_upto(geometric_points(2, 1), length))
+        scheme = make_scheme(points_upto(geometric_points(2), length))
         family = standard_family(length)
         table = evidence_table(family, scheme, policy)
         q_ratio_stats(scheme)

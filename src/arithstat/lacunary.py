@@ -102,7 +102,7 @@ def make_scheme(points: Iterable[int]) -> LacunaryScheme:
 # `first_blocks` stops them after a block count, `points_upto` at a point.
 
 
-def geometric_points(ratio: float, start: int) -> Iterator[int]:
+def geometric_points(ratio: float, start: int = 1) -> Iterator[int]:
     """Closed form k_j = floor(start * ratio**j), or k_{j-1} + 1 where that is
     larger, up to MAX_POINT: 1, 2, 3, 4, 5, 7, 11, ... for ratio 1.5."""
     if not ratio > 1 or start < 1:

@@ -596,6 +596,16 @@ class TestScheme:
         ("scheme", {"geometric": {"ratio": 2, "count": 12, "strat": 5}},
          "bad scheme spec: unknown field 'strat'"),
         ("scheme", {"points": [1, 2, 4, 8], "note": 1}, "bad scheme spec: unknown field 'note'"),
+        # a field of the wrong JSON type is named, with the type it must have
+        ("analyze", {"kind": "gcd_periodic", "modulus": 6, "table": [1]},
+         "bad 'gcd_periodic' spec: field 'table' must be a JSON object, got list"),
+        ("analyze", {"kind": "sparse_spike", "support": 5},
+         "bad 'sparse_spike' spec: field 'support' must be a JSON list, got int"),
+        ("scheme", {"factorial": 8},
+         "bad scheme spec: field 'factorial' must be a JSON object, got int"),
+        ("scheme", {"geometric": [2, 3]},
+         "bad scheme spec: field 'geometric' must be a JSON object, got list"),
+        ("scheme", {"points": 5}, "bad scheme spec: field 'points' must be a JSON list, got int"),
     ])
     def test_unknown_spec_field_is_named(self, tmp_path, capsys, command, spec, message):
         path = write_json(tmp_path / "spec.json", spec)
@@ -603,6 +613,57 @@ class TestScheme:
         rc = main([command, *flag, "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+LEAF = {"kind": "constant", "value": -0.5}
+NESTED = {"kind": "sum", "left": LEAF, "right": {"kind": "scaled", "factor": 3, "child": LEAF}}
+NESTED_SPEC = kernel.Summed(kernel.Constant(-0.5), kernel.Scaled(3.0, kernel.Constant(-0.5)))
+
+
+class TestSpecVocabulary:
+    """Every field of the JSON vocabulary reaches the spec or scheme that it builds."""
+
+    @pytest.mark.parametrize("obj, spec", [
+        ({"kind": "constant", "value": 2.5}, kernel.Constant(2.5)),
+        ({"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1.5, "3": -2, "6": 4}},
+         kernel.GcdPeriodic(6, {1: 0.0, 2: 1.5, 3: -2.0, 6: 4.0})),
+        # the support rules exclude one another: one case each, with every other field
+        ({"kind": "sparse_spike", "height": 3, "base": -1, "support": [2, 5, 9], "seed": 4},
+         SparseSpike(height=3.0, base=-1.0, support=(2, 5, 9), seed=4)),
+        ({"kind": "sparse_spike", "height": 3, "base": -1, "power": 3, "seed": 4},
+         SparseSpike(height=3.0, base=-1.0, power=3, seed=4)),
+        ({"kind": "sparse_spike", "height": 3, "base": -1, "rate": 0.75, "seed": 4,
+          "support": None, "power": None},
+         SparseSpike(height=3.0, base=-1.0, rate=0.75, seed=4)),
+        ({"kind": "scaled", "factor": -2, "child": NESTED}, kernel.Scaled(-2.0, NESTED_SPEC)),
+        ({"kind": "sum", "left": NESTED, "right": {"kind": "scaled", "factor": 0, "child": NESTED}},
+         kernel.Summed(NESTED_SPEC, kernel.Scaled(0.0, NESTED_SPEC))),
+    ])
+    def test_generator_spec_fields(self, obj, spec):
+        assert cli.parse_generator_spec(obj) == spec
+
+    @pytest.mark.parametrize("obj, points, count", [
+        ({"geometric": {"ratio": 1.5, "count": 9, "start": 3}},
+         lacunary.geometric_points(1.5, 3), 9),
+        ({"polynomial": {"degree": 3, "count": 7}}, lacunary.polynomial_points(3), 7),
+        ({"factorial": {"count": 6}}, lacunary.factorial_points(), 6),
+    ])
+    def test_scheme_generator_fields(self, obj, points, count):
+        assert cli.parse_scheme_spec(obj) == lacunary.first_blocks(points, count)
+
+    @pytest.mark.parametrize("command, spec, field", [
+        ("analyze", {"kind": "scaled", "factor": 2}, "child"),
+        ("scheme", {"geometric": {"count": 5}}, "ratio"),
+        ("scheme", {"factorial": {}}, "count"),
+    ])
+    def test_missing_field_is_named(self, tmp_path, capsys, command, spec, field):
+        path = write_json(tmp_path / "spec.json", spec)
+        flag = ["--input", path, "--length", "64"] if command == "analyze" else ["--scheme", path]
+        rc = main([command, *flag, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert_one_line_input_error(err)
+        assert repr(field) in err
 
 
 class TestVerify:
