@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
+import inspect
 import json
 import os
 import sys
@@ -32,7 +33,6 @@ from .kernel import (
     SeqSample,
     SparseSpike,
     Summed,
-    _flags,
     generate,
 )
 from .density import (
@@ -196,19 +196,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _integer(v) -> int:
-    """A JSON integer field's value; ValueError unless it is a whole number and not a boolean."""
-    n = int(v)
-    if n != v or isinstance(v, bool):
-        raise ValueError(f"{v!r} is not an integer")
-    return n
+#: each JSON type's name in refusals; bool before int, which it subclasses
+_JSON_TYPES = ((bool, "boolean"), ((int, float), "number"), (str, "string"), (list, "list"),
+               (dict, "object"))
 
 
-def _number(v) -> float:
-    """A JSON number field's value; float() alone would also read a boolean or a string."""
-    if isinstance(v, (bool, str)):
-        raise ValueError(f"{v!r} is not a number")
-    return float(v)
+def _json_type(v) -> str:
+    """The JSON name of a parsed JSON value's type."""
+    return next((name for t, name in _JSON_TYPES if isinstance(v, t)), "null")
 
 
 def _known_fields(obj: dict, fields: Container[str]) -> None:
@@ -218,16 +213,39 @@ def _known_fields(obj: dict, fields: Container[str]) -> None:
             raise ValueError(f"unknown field {key!r}")
 
 
-class _WrongType(ValueError):
-    """A field holds another JSON type than its reader takes; the message says which."""
-
-
 def _json(cls: type, v):
-    """`v` if it is a JSON object (`cls` dict) or list (`cls` list), else _WrongType."""
+    """`v` if it is a JSON object (`cls` dict) or list (`cls` list), else ValueError."""
     if not isinstance(v, cls):
-        name = "object" if cls is dict else "list"
-        raise _WrongType(f"must be a JSON {name}, got {type(v).__name__}")
+        raise ValueError(f"must be a JSON {_json_type(cls())}, got {_json_type(v)}")
     return v
+
+
+def _number(v) -> float:
+    """A JSON number field's value; float() alone would also read a boolean or a string."""
+    if _json_type(v) != "number":
+        raise ValueError(f"must be a JSON number, got {_json_type(v)}")
+    try:
+        return float(v)
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"must be at most {sys.float_info.max:g} in magnitude") from None
+
+
+def _integer(v) -> int:
+    """A JSON integer field's value: a whole number, which 2.0 is and 2.5 or true is not."""
+    got = _json_type(v)
+    if got != "number":
+        raise ValueError(f"must be a whole number, got {got}")
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"must be a whole number, got {json.dumps(v)}")
+    return int(v)
+
+
+def _at(where: str, read: Callable, v):
+    """read(v), with `where` put before the message of a ValueError it raises."""
+    try:
+        return read(v)
+    except ValueError as e:
+        raise ValueError(f"{where} {e}") from None
 
 
 def _or_null(read: Callable) -> Callable:
@@ -237,27 +255,33 @@ def _or_null(read: Callable) -> Callable:
 
 def _integers(v) -> tuple[int, ...]:
     """A JSON list of integers."""
-    return tuple(map(_integer, _json(list, v)))
+    return tuple(_at(f"at index {i}", _integer, x) for i, x in enumerate(_json(list, v)))
 
 
 def _table(v) -> dict[int, float]:
     """A gcd_periodic table from divisor to value; ValueError if two keys name one divisor."""
-    table = {int(k): _number(x) for k, x in _json(dict, v).items()}
+    table = {}
+    for k, x in _json(dict, v).items():
+        try:
+            d = int(k)
+        except ValueError:
+            raise ValueError(f"key {json.dumps(k)} must be a whole number") from None
+        table[d] = _at(f"value of {json.dumps(k)}", _number, x)
     if len(table) != len(v):
-        raise ValueError("two table keys name the same divisor")
+        raise ValueError("names one divisor with two keys")
     return table
 
 
-def _fields(obj: dict, readers: dict[str, Callable]) -> dict:
+def _fields(obj: dict, readers: dict[str, Callable], *makes: Callable) -> dict:
     """Each field of a JSON object through its reader. ValueError names a field that has
-    no reader or holds another JSON type than its reader takes."""
+    no reader, that its reader refuses, or that a parameter without a default of one of
+    `makes` needs and `obj` lacks."""
     _known_fields(obj, readers)
-    fields = {}
-    for key, v in obj.items():
-        try:
-            fields[key] = readers[key](v)
-        except _WrongType as e:
-            raise ValueError(f"field {key!r} {e}") from None
+    fields = {key: _at(f"field {key!r}", readers[key], v) for key, v in obj.items()}
+    for make in makes:
+        for key, p in inspect.signature(make).parameters.items():
+            if p.default is p.empty and p.kind != p.VAR_KEYWORD and key not in fields:
+                raise ValueError(f"missing field {key!r}")
     return fields
 
 
@@ -274,15 +298,23 @@ def _parse_spec(obj, depth: int) -> GeneratorSpec:
     if depth > MAX_SPEC_DEPTH:
         raise InputError(f"generator spec nests deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict):
-        raise InputError(f"generator spec must be a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    if not isinstance(kind, str) or kind not in _SPEC_KINDS:
+        raise InputError(f"generator spec must be a JSON object, got {_json_type(obj)}")
+    if "kind" not in obj:
+        raise InputError("bad generator spec: missing field 'kind'")
+    kind = obj["kind"]
+    if not isinstance(kind, str):
+        raise InputError(f"bad generator spec: field 'kind' must be a JSON string, "
+                         f"got {_json_type(kind)}")
+    if kind not in _SPEC_KINDS:
         raise InputError(f"unknown generator kind {kind!r}")
     make, readers = _SPEC_KINDS[kind]
-    child = partial(_parse_spec, depth=depth + 1)
+
+    def child(v) -> GeneratorSpec:
+        return _parse_spec(_json(dict, v), depth + 1)
+
     readers = {key: child if read is _parse_spec else read for key, read in readers.items()}
     try:
-        return make(**_fields({k: v for k, v in obj.items() if k != "kind"}, readers))
+        return make(**_fields({k: v for k, v in obj.items() if k != "kind"}, readers, make))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad {kind!r} spec: {e}") from None
 
@@ -309,7 +341,7 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
     """JSON object -> scheme: explicit points or a generator, under exactly one key.
     See README for the vocabulary."""
     if not isinstance(obj, dict):
-        raise InputError(f"scheme spec must be a JSON object, got {type(obj).__name__}")
+        raise InputError(f"scheme spec must be a JSON object, got {_json_type(obj)}")
     keys = ("points", *_SCHEME_KINDS)
     if sum(k in obj for k in keys) != 1:
         *rest, last = map(repr, keys)
@@ -318,11 +350,11 @@ def parse_scheme_spec(obj) -> LacunaryScheme:
         _known_fields(obj, keys)
         [(key, g)] = obj.items()
         if key == "points":
-            return make_scheme(_integers(g))
+            return make_scheme(_at("field 'points'", _integers, g))
         points, readers = _SCHEME_KINDS[key]
-        return _first_blocks(points, **_fields(_json(dict, g), {"count": _integer, **readers}))
-    except _WrongType as e:  # the value under the one key
-        raise InputError(f"bad scheme spec: field {key!r} {e}") from None
+        return _first_blocks(points, **_fields(_at(f"field {key!r}", partial(_json, dict), g),
+                                               {"count": _integer, **readers},
+                                               partial(_first_blocks, points), points))
     except _VALUE_ERRORS as e:
         raise InputError(f"bad scheme spec: {e}") from None
 
@@ -585,14 +617,10 @@ def cmd_scheme(cfg: RunConfig) -> None:
 
 
 def _injected_scaling_report() -> CheckReport:
-    # Deliberately wrong comparison (right side not rescaled by 1/|c|); used
-    # by --inject-fault to prove the suite can fail.
-    x = generate(GcdPeriodic(6, {1: 1.0, 2: 2.0, 3: 3.0, 6: 6.0}), 512)
-    return CheckReport(
-        "scalar_closure",
-        {"injected": True, "c": 3.0, "eps": 2.0, "note": "right side epsilon not rescaled"},
-        np.array_equal(_flags(3.0 * x, 1, 2.0), _flags(x, 1, 2.0)),
-    )
+    # The recorded failure of a deliberately wrong comparison (right side not
+    # rescaled by 1/|c|); --inject-fault adds it to prove the suite can fail.
+    return CheckReport("scalar_closure", {"injected": True, "c": 3.0, "eps": 2.0,
+                                          "note": "right side epsilon not rescaled"}, False)
 
 
 def cmd_verify(cfg: RunConfig) -> bool:
@@ -683,9 +711,7 @@ def cmd_verify(cfg: RunConfig) -> bool:
 
     suites = run_property_suite(cfg.seed, instances=cfg.instances, meanwhile=family_checks)
     if cfg.inject_fault == "scaling":
-        rep = _injected_scaling_report()
-        if not rep.passed:
-            suites["scalar_closure"].failures.append(rep)
+        suites["scalar_closure"].failures.append(_injected_scaling_report())
     lines = [(f"property {name} ({res.instances} instances)", res.passed)
              for name, res in suites.items()] + checks
     ok = all(good for _, good in lines)

@@ -293,8 +293,7 @@ def uniform_limit_check(f_list: Sequence[RealFunction], f: RealFunction,
     eps = _check_eps(eps)
     if not f_list:
         raise ValueError("f_list must not be empty")
-    probe = np.unique(np.concatenate([np.asarray(domain_probe, dtype=np.float64),
-                                      x.values]))
+    probe = np.concatenate([np.asarray(domain_probe, dtype=np.float64), x.values])
     f_probe = apply_fn(f, probe)
     chosen = None
     sup = None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -319,19 +319,21 @@ class _Verdict:
 class ConvergenceVerdict(_Verdict):
     """Three-valued decision plus the evidence it rests on.
 
-    `tail_densities` pairs each epsilon of `policy.grid` with the tail
-    average of its density curve at `evaluated_n` (the witness when
-    convergent, otherwise the best candidate seen). The curves behind those
-    tails are kept as evidence outside `to_dict`: their index (t or r) and
-    one row of densities per grid epsilon; `curves()` returns them as
-    DensityCurve objects.
+    The curves at `evaluated_n` (the witness when convergent, otherwise the
+    best candidate seen) are kept outside `to_dict`: their index (t or r) and
+    one row of densities per grid epsilon, as DensityCurves from `curves()`.
+    `tail_densities` pairs each grid epsilon with the tail average of its row.
     """
 
     axis: str
-    tail_densities: tuple[tuple[float, float], ...]
     policy: VerdictPolicy
     curve_index: np.ndarray = field(compare=False, repr=False)
     curve_densities: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def tail_densities(self) -> tuple[tuple[float, float], ...]:
+        return tuple((e, _tail_stats(row, self.policy.tail_window)[0])
+                     for e, row in zip(self.policy.grid, self.curve_densities))
 
     def curves(self) -> tuple[DensityCurve, ...]:
         """The density curve of each grid epsilon at evaluated_n."""
@@ -369,40 +371,37 @@ def _tail_stats(curve: np.ndarray, window: int) -> tuple[float, bool]:
 
 
 def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[np.ndarray]],
-            policy: VerdictPolicy) -> tuple[Outcome, int, list[float]]:
-    """Witness search over n = 1..n_max: (outcome, evaluated_n, tails).
+            policy: VerdictPolicy) -> tuple[Outcome, int]:
+    """Witness search over n = 1..n_max: (outcome, evaluated_n).
 
     Convergent at the smallest n whose every curve tail is <= tol; that n is
     evaluated_n. Otherwise NotConvergent only if every n shows hard evidence
     (some curve with tail >= tol_hi and a non-decreasing tail segment); else
     Inconclusive, and evaluated_n is the n whose largest tail is smallest.
-    `tails` holds the tail of each curve at evaluated_n.
 
     `finest(n)` is the curve of the finest threshold, `full(n)` every curve
     in grid order. The flag sets are nested in epsilon, so the finest curve
     is the largest at every point, and its tail, summed and divided with
     monotone float rounding, is exactly the largest tail. The search reads
-    `full` only for the tails at evaluated_n, and for the hard evidence of an
-    n whose finest tail is >= tol_hi but not non-decreasing while every
-    earlier n was hard: only there can a coarser curve decide the outcome.
+    `full` only for the hard evidence of an n whose finest tail is >= tol_hi
+    but not non-decreasing while every earlier n was hard: only there can a
+    coarser curve decide the outcome.
     """
-    def stats(n: int) -> list[tuple[float, bool]]:
-        return [_tail_stats(c, policy.tail_window) for c in full(n)]
-
+    tail = partial(_tail_stats, window=policy.tail_window)
     best: tuple[float, int] | None = None
     every_n_hard = True
     for n in range(1, policy.n_max + 1):
-        top, mono = _tail_stats(finest(n), policy.tail_window)
+        top, mono = tail(finest(n))
         if top <= policy.tol:
-            return Outcome.CONVERGENT, n, [t for t, _ in stats(n)]
+            return Outcome.CONVERGENT, n
         if every_n_hard and not (top >= policy.tol_hi and mono):
             every_n_hard = top >= policy.tol_hi and any(
-                t >= policy.tol_hi and m for t, m in stats(n))
+                t >= policy.tol_hi and m for t, m in map(tail, full(n)))
         if best is None or top < best[0]:
             best = (top, n)
     assert best is not None
     outcome = Outcome.NOT_CONVERGENT if every_n_hard else Outcome.INCONCLUSIVE
-    return outcome, best[1], [t for t, _ in stats(best[1])]
+    return outcome, best[1]
 
 
 def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
@@ -413,9 +412,9 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     threshold, counted over the intervals of every axis at once. Those
     densities are kept by n, so an axis that searches further reuses the
     passes made for the others; each axis still stops at its own smallest
-    passing n. The full grid costs one more deviation pass, at the few n
-    where `_search` reads it, and is kept by n as well. The intervals of all
-    axes are cut once, for every count of the call.
+    passing n. The full grid costs one more deviation pass where it is read
+    (at evaluated_n, and where `_search` needs it) and is kept by n as well.
+    The intervals of all axes are cut once, for every count of the call.
     """
     bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
               for axis in axes]
@@ -431,12 +430,12 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     for axis, axis_iv in zip(axes, bounds):
         part = slice(start, start + axis_iv.hi.size)
         start = part.stop
-        outcome, n, tails = _search(
+        outcome, n = _search(
             lambda k, part=part: densities(k, policy.grid[-1:])[0, part],
             lambda k, part=part: densities(k, policy.grid)[:, part], policy)
         verdicts.append(ConvergenceVerdict(
-            outcome, n, axis, tuple(zip(policy.grid, tails)), policy,
-            _curve_index(axis, axis_iv.hi), densities(n, policy.grid)[:, part]))
+            outcome, n, axis, policy, _curve_index(axis, axis_iv.hi),
+            densities(n, policy.grid)[:, part]))
     return verdicts
 
 
@@ -488,5 +487,5 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
     def means(k: int) -> np.ndarray:
         return _interval_fsums(deviations(x, k), iv) / (iv.hi - iv.lo)
 
-    outcome, n, tails = _search(means, lambda k: [means(k)], policy)
-    return MeanVerdict(outcome, n, tails[0], policy)
+    outcome, n = _search(means, lambda k: [means(k)], policy)
+    return MeanVerdict(outcome, n, _tail_stats(means(n), policy.tail_window)[0], policy)

@@ -240,7 +240,7 @@ class SparseSpike:
         if self.support is not None:
             pts = tuple(int(s) for s in self.support)
             if not pts or pts[0] < 1 or any(b <= a for a, b in zip(pts, pts[1:])):
-                raise ValueError("support must be a strictly increasing tuple of indices >= 1")
+                raise ValueError("support must be a strictly increasing list of indices >= 1")
             object.__setattr__(self, "support", pts)
         if self.power is not None and int(self.power) < 2:
             raise ValueError("power rule needs an integer base >= 2")

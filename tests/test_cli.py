@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +30,11 @@ from arithstat.cli import (
     MAX_N_MAX,
     main,
 )
+from arithstat.continuity import Affine, Clamp, ContinuityReport, Tabulated
+from arithstat.density import Outcome
 from arithstat.kernel import SparseSpike, generate
 from arithstat.lacunary import MAX_BLOCKS
-from arithstat.theorems import Suite, random_sample
+from arithstat.theorems import CheckReport, Suite, random_sample
 
 DYADIC_POINTS = {"points": [1, 2, 4, 8, 16]}
 GEOMETRIC_10 = {"geometric": {"ratio": 2.0, "count": 10, "start": 1}}
@@ -600,12 +603,42 @@ class TestScheme:
         ("analyze", {"kind": "gcd_periodic", "modulus": 6, "table": [1]},
          "bad 'gcd_periodic' spec: field 'table' must be a JSON object, got list"),
         ("analyze", {"kind": "sparse_spike", "support": 5},
-         "bad 'sparse_spike' spec: field 'support' must be a JSON list, got int"),
+         "bad 'sparse_spike' spec: field 'support' must be a JSON list, got number"),
         ("scheme", {"factorial": 8},
-         "bad scheme spec: field 'factorial' must be a JSON object, got int"),
+         "bad scheme spec: field 'factorial' must be a JSON object, got number"),
         ("scheme", {"geometric": [2, 3]},
          "bad scheme spec: field 'geometric' must be a JSON object, got list"),
-        ("scheme", {"points": 5}, "bad scheme spec: field 'points' must be a JSON list, got int"),
+        ("scheme", {"points": 5},
+         "bad scheme spec: field 'points' must be a JSON list, got number"),
+        # every type in JSON's words, and a required field that is left out by its name
+        ("analyze", {"kind": "constant"}, "bad 'constant' spec: missing field 'value'"),
+        ("analyze", {"kind": "constant", "value": None},
+         "bad 'constant' spec: field 'value' must be a JSON number, got null"),
+        ("analyze", {"kind": "constant", "value": True},
+         "bad 'constant' spec: field 'value' must be a JSON number, got boolean"),
+        ("analyze", {"kind": "sparse_spike", "support": [1, "2"]},
+         "bad 'sparse_spike' spec: field 'support' at index 1 must be a whole number, "
+         "got string"),
+        ("analyze", {"kind": "gcd_periodic", "modulus": 6,
+                     "table": {"x": 1, "2": 1, "3": 1, "6": 1}},
+         'bad \'gcd_periodic\' spec: field \'table\' key "x" must be a whole number'),
+        ("analyze", {"kind": "gcd_periodic", "modulus": 6, "table": None},
+         "bad 'gcd_periodic' spec: field 'table' must be a JSON object, got null"),
+        ("scheme", {"factorial": {}}, "bad scheme spec: missing field 'count'"),
+        ("scheme", {"geometric": {"ratio": None, "count": 5}},
+         "bad scheme spec: field 'ratio' must be a JSON number, got null"),
+        ("analyze", 5, "generator spec must be a JSON object, got number"),
+        ("analyze", {"value": 1}, "bad generator spec: missing field 'kind'"),
+        ("analyze", {"kind": None},
+         "bad generator spec: field 'kind' must be a JSON string, got null"),
+        ("analyze", {"kind": "scaled", "factor": 1, "child": [2]},
+         "bad 'scaled' spec: field 'child' must be a JSON object, got list"),
+        ("analyze", {"kind": "gcd_periodic", "modulus": 6,
+                     "table": {"1": 0, "2": 1, "3": False, "6": 2}},
+         'bad \'gcd_periodic\' spec: field \'table\' value of "3" must be a JSON number, '
+         "got boolean"),
+        ("scheme", {"points": [1, 2.5]},
+         "bad scheme spec: field 'points' at index 1 must be a whole number, got 2.5"),
     ])
     def test_unknown_spec_field_is_named(self, tmp_path, capsys, command, spec, message):
         path = write_json(tmp_path / "spec.json", spec)
@@ -806,6 +839,103 @@ class TestVerify:
             assert rc == EXIT_OK
             reports.append((out / "verify_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+
+def contradicted(rep: ContinuityReport) -> ContinuityReport:
+    """`rep` with the mapped verdict of its first supporting entry made NotConvergentAtScale."""
+    i = next(i for i, e in enumerate(rep.entries) if e.status == "support")
+    e = rep.entries[i]
+    bad = replace(e, right=replace(e.right, outcome=Outcome.NOT_CONVERGENT))
+    return replace(rep, entries=(*rep.entries[:i], bad, *rep.entries[i + 1:]))
+
+
+def uncontradicted(rep: ContinuityReport) -> ContinuityReport:
+    return replace(rep, entries=tuple(e for e in rep.entries if e.status != "contradiction"))
+
+
+def failed(rep: CheckReport) -> CheckReport:
+    return replace(rep, passed=False, witness={"planted": True})
+
+
+#: each `verify` line that no other test fails: its label, the `cli` name it reads, which
+#: calls of that name are planted a failure and how, and what the report then holds
+LINE_FAULTS = [
+    ("continuity battery affine", "continuity_battery",
+     lambda f, table: f == Affine(2.0, -1.0), contradicted,
+     "continuity", "battery_affine", {"contradictions": 1}),
+    ("continuity battery clamp", "continuity_battery",
+     lambda f, table: f == Clamp(-1.0, 5.0), contradicted,
+     "continuity", "battery_clamp", {"contradictions": 1}),
+    ("continuity closure (sum, difference, composition)", "closure_checks",
+     lambda *args: True, failed, "continuity", "closure", {"passed": False}),
+    # the three covers are told apart by their witness n
+    ("uniform limit cover (shifts_to_identity)", "uniform_limit_check",
+     lambda *args: args[4] == 6, failed,
+     "continuity", "uniform_shifts_to_identity", {"passed": False}),
+    ("uniform limit cover (clamped_shifts)", "uniform_limit_check",
+     lambda *args: args[4] == 1, failed,
+     "continuity", "uniform_clamped_shifts", {"passed": False}),
+    ("uniform limit cover (slopes_to_identity)", "uniform_limit_check",
+     lambda *args: args[4] == 5, failed,
+     "continuity", "uniform_slopes_to_identity", {"passed": False}),
+    ("control: ramp is NotConvergentAtScale", "asc_verdict",
+     lambda *args: True, lambda v: replace(v, outcome=Outcome.INCONCLUSIVE),
+     "negative_controls", "ramp_not_convergent", {"outcome": "Inconclusive"}),
+    ("control: step function produces a contradiction", "continuity_battery",
+     lambda f, table: isinstance(f, Tabulated), uncontradicted,
+     "negative_controls", "step_battery", {"contradictions": 0}),
+]
+
+
+class TestEveryVerifyLineCanFail:
+    """One planted failure makes its own `verify` line, and no other, print FAIL."""
+
+    @staticmethod
+    def run_verify(tmp_path, capsys, label: str) -> dict:
+        out = tmp_path / "out"
+        rc = main(["verify", "--length", "513", "--instances", "2", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_VERIFY_FAILED
+        assert [line for line in lines if line.startswith("FAIL")] == [f"FAIL  {label}"]
+        assert lines[-1] == "verification: FAILED"
+        return json.loads((out / "verify_report.json").read_text())
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", list(theorems.SUITES))
+    def test_suite_row(self, tmp_path, capsys, monkeypatch, name, cpus):
+        row = theorems.SUITES[name]
+
+        def check(x, **params):
+            reports = list(row.check(x, **params))
+            if reports:  # the delta-transfer row's measure reads the instance's delta
+                reports.append(CheckReport(name, dict(reports[-1].instance), False,
+                                           {"planted": True}))
+            return reports
+
+        monkeypatch.setitem(theorems.SUITES, name, replace(row, check=check))
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
+        count = 50 if row.half else 2  # max(50, instances // 2) for a half row
+        report = self.run_verify(tmp_path, capsys, f"property {name} ({count} instances)")
+        failures = report["property_suites"][name]["failures"]
+        assert failures and all(f["witness"] == {"planted": True} for f in failures)
+
+    @pytest.mark.parametrize("label, name, planted, fail, section, key, value", LINE_FAULTS,
+                             ids=[case[0] for case in LINE_FAULTS])
+    def test_verify_line(self, tmp_path, capsys, monkeypatch, label, name, planted, fail,
+                         section, key, value):
+        # six suites that return at once: only the line under test can fail
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 1)
+        for suite in theorems.SUITES:
+            monkeypatch.setitem(theorems.SUITES, suite, Suite(lambda rng, x: {},
+                                                              lambda x, n, eps: ()))
+
+        def patched(*args, real=getattr(cli, name)):
+            result = real(*args)
+            return fail(result) if planted(*args) else result
+
+        monkeypatch.setattr(cli, name, patched)
+        report = self.run_verify(tmp_path, capsys, label)
+        assert report[section][key].items() >= value.items()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -78,6 +79,13 @@ csv_text = st.lists(st.sampled_from((*"0123456789", " ", "\t", *LINE_BREAKS, "e"
                     max_size=40).map("".join)
 
 
+#: Python's words for what JSON calls null, a number, an object, a string or a boolean,
+#: and the callables whose own refusals would otherwise reach the message; "got str"
+#: and "got bool" as whole words, since "got string" and "got boolean" are JSON's
+PYTHON_WORDS = re.compile(
+    r"NoneType|__init__|_first_blocks|float\(\)|int\(\)|got (int|float|dict|str|bool)\b")
+
+
 def run_analyze(tmp_path, capsys, *args: str) -> None:
     capsys.readouterr()
     rc = main(["analyze", *args, "--n-max", "8", "--out", str(tmp_path / "out")])
@@ -85,6 +93,7 @@ def run_analyze(tmp_path, capsys, *args: str) -> None:
     assert rc in (EXIT_OK, EXIT_INPUT, EXIT_CONFIG)
     if rc != EXIT_OK:
         assert err.count("\n") == 1 and err.startswith(("input error:", "config error:")), err
+        assert not PYTHON_WORDS.search(err), err
 
 
 @given(spec=generator_specs.map(json.dumps) | st.text(max_size=512), length=st.integers(1, 1024))
