@@ -14,6 +14,7 @@ import csv
 import inspect
 import json
 import os
+import re
 import sys
 from collections import deque
 from collections.abc import Callable, Container, Iterator
@@ -29,11 +30,12 @@ from .kernel import (
     Constant,
     GcdPeriodic,
     GeneratorSpec,
+    PeriodicSample,
+    Sample,
     Scaled,
     SeqSample,
     SparseSpike,
     Summed,
-    generate,
 )
 from .density import (
     DEFAULT_GRID,
@@ -92,11 +94,11 @@ CSV_HEADER = ("axis", "index", "epsilon", "witness_n", "density")
 
 #: Deepest nesting of `scaled` and `sum` nodes accepted in a generator spec.
 MAX_SPEC_DEPTH = 100
-#: Largest --length, and most values a CSV may hold. A witness pass holds
-#: full-length values and deviations (8 bytes per index each), flags (1 byte)
-#: and the int32 copy of the flags that the segment count reduces (4 bytes):
-#: 21 bytes per index, 672 MiB at 2**25. That is 16 times the longest
-#: benchmark sample (2**21).
+#: Largest --length, and most values a CSV may hold. A witness pass over CSV
+#: values holds full-length values and deviations (8 bytes per index each),
+#: flags (1 byte) and the int32 copy of the flags that the segment count
+#: reduces (4 bytes): 21 bytes per index, 672 MiB at 2**25. That is 16 times
+#: the longest benchmark sample (2**21). A spec's passes cover one period.
 MAX_LENGTH = 2**25
 #: Largest --n-max. Every witness costs a deviation pass over the whole
 #: sample, so a search runs n_max passes per axis: 2**16 of them take about
@@ -108,6 +110,9 @@ MAX_MAGNITUDE = sys.float_info.max / 2**26
 #: Bytes of a CSV decoded at a time. A load holds one chunk's text and lines
 #: besides the value array, never the whole text.
 _CSV_CHUNK = 2**18
+#: A gcd_periodic table key: ASCII digits, with a sign and spaces around them
+#: allowed. int() alone would also read "1_0" as 10 and Arabic-Indic digits.
+_TABLE_KEY = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 #: Errors of malformed JSON values, such as a number too large for a float or
 #: a list where an object belongs.
 _VALUE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
@@ -262,11 +267,9 @@ def _table(v) -> dict[int, float]:
     """A gcd_periodic table from divisor to value; ValueError if two keys name one divisor."""
     table = {}
     for k, x in _json(dict, v).items():
-        try:
-            d = int(k)
-        except ValueError:
-            raise ValueError(f"key {json.dumps(k)} must be a whole number") from None
-        table[d] = _at(f"value of {json.dumps(k)}", _number, x)
+        if not _TABLE_KEY.fullmatch(k):
+            raise ValueError(f"key {json.dumps(k)} must be a whole number")
+        table[int(k)] = _at(f"value of {json.dumps(k)}", _number, x)
     if len(table) != len(v):
         raise ValueError("names one divisor with two keys")
     return table
@@ -377,8 +380,11 @@ def _read_json(path: Path):
         raise InputError(f"{path} nests too deeply") from None
 
 
-def load_sequence(path: str, length: int | None) -> SeqSample:
-    """Sequence from a .json generator spec or a CSV of one value per line."""
+def load_sequence(path: str, length: int | None) -> Sample:
+    """Sequence from a .json generator spec or a CSV of one value per line.
+
+    A spec's sample is held as one period and its spikes, not as `length` values.
+    """
     p = Path(path)
     if not p.is_file():
         raise InputError(f"no such file: {p}")
@@ -388,9 +394,10 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
             raise ConfigError("--length is required with a generator spec input")
         try:
             with np.errstate(all="ignore"):  # an overflow to inf is refused as non-finite
-                x = generate(spec, length)
+                x = PeriodicSample(spec, length)
         except ValueError as e:
             raise InputError(f"{p}: {e}") from None
+        top = x.sup_abs
     else:
         with closing(_csv_lines(p)) as chunks:
             lines = chain.from_iterable(chunks)
@@ -413,7 +420,8 @@ def load_sequence(path: str, length: int | None) -> SeqSample:
             x = SeqSample(vals, recipe=f"csv({p.name})")
         except ValueError as e:
             raise InputError(f"{p}: {e}") from None
-    if max(x.values.max(), -x.values.min()) > MAX_MAGNITUDE:
+        top = max(x.values.max(), -x.values.min())
+    if top > MAX_MAGNITUDE:
         raise InputError(f"{p} holds a value of magnitude above {MAX_MAGNITUDE:g}")
     return x
 

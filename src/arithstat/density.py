@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import SeqSample, _check_eps, _exceeds, check_witness, deviations
+from .kernel import PeriodicSample, Sample, _check_eps, _exceeds, check_witness, deviations
 from .lacunary import LacunaryScheme
 
 __all__ = [
@@ -228,6 +228,25 @@ def _interval_fsums(values: np.ndarray, iv: Intervals) -> np.ndarray:
                      for a, b in zip(iv.lo.tolist(), iv.hi.tolist())])
 
 
+def _exceedance_counts(x: Sample, n: int, grid: Sequence[float], iv: Intervals) -> np.ndarray:
+    """Integer counts of the m in each interval with |x_m - x_<m,n>| >= e, a row per e of `grid`.
+
+    A sample holds every value and counts from one deviation pass; a spec's
+    period-backed sample counts from one period of its deviations.
+    """
+    if isinstance(x, PeriodicSample):
+        return x.exceedance_counts(n, grid, iv.lo, iv.hi)
+    dev = deviations(x, n)
+    return np.array([_interval_sums(_exceeds(dev, e), iv) for e in grid])
+
+
+def _deviation_fsums(x: Sample, n: int | None, iv: Intervals) -> np.ndarray:
+    """math.fsum of |x_m - x_<m,n>| over each interval, or of |x_m| when n is None."""
+    if isinstance(x, PeriodicSample):
+        return x.interval_fsums(n, iv.lo, iv.hi)
+    return _interval_fsums(np.abs(x.values) if n is None else deviations(x, n), iv)
+
+
 def _first_hit(mask: np.ndarray, iv: Intervals) -> tuple[int, list[int]] | None:
     """The first interval (lo, hi] that holds a set flag mask[m - 1].
 
@@ -251,7 +270,7 @@ def _curve(axis: str, eps: float, n: int, index: np.ndarray, vals: np.ndarray) -
     return DensityCurve(axis, eps, n, tuple(zip(index.tolist(), vals.tolist())))
 
 
-def density_curve(x: SeqSample, n: int, eps: float, axis: str,
+def density_curve(x: Sample, n: int, eps: float, axis: str,
                   scheme: LacunaryScheme | None = None,
                   growth: float = DEFAULT_POLICY.growth) -> DensityCurve:
     """Density against t (prefix axis) or against r (block axis).
@@ -261,28 +280,30 @@ def density_curve(x: SeqSample, n: int, eps: float, axis: str,
     """
     n = check_witness(n)
     iv = _intervals(x.length, axis, scheme, growth)
-    vals = _interval_sums(_exceeds(deviations(x, n), eps), iv) / (iv.hi - iv.lo)
+    vals = _exceedance_counts(x, n, (eps,), iv)[0] / (iv.hi - iv.lo)
     return _curve(axis, float(eps), n, _curve_index(axis, iv.hi), vals)
 
 
-def ac_sup_deviation(x: SeqSample, n: int) -> float:
+def ac_sup_deviation(x: Sample, n: int) -> float:
     """max over m <= T of |x_m - x_<m,n>| (finite-truncation sup)."""
+    if isinstance(x, PeriodicSample):
+        return x.sup_deviation(n)
     return float(deviations(x, n).max())
 
 
-def ac_theta_block_means(x: SeqSample, scheme: LacunaryScheme, n: int) -> list[float]:
+def ac_theta_block_means(x: Sample, scheme: LacunaryScheme, n: int) -> list[float]:
     """(1/h_r) * sum over block r of |x_m - x_<m,n>|, for every block inside the sample.
 
-    All blocks come from one deviation pass, each summed with math.fsum.
+    Each block's sum is the math.fsum of its deviations (see `_deviation_fsums`).
     """
     iv = _intervals(x.length, "block", scheme)
-    return (_interval_fsums(deviations(x, n), iv) / (iv.hi - iv.lo)).tolist()
+    return (_deviation_fsums(x, n, iv) / (iv.hi - iv.lo)).tolist()
 
 
-def ntheta_norm(x: SeqSample, scheme: LacunaryScheme) -> float:
+def ntheta_norm(x: Sample, scheme: LacunaryScheme) -> float:
     """max over available blocks of the block mean of |x_m| (truncation sup norm)."""
     iv = _intervals(x.length, "block", scheme)
-    return float((_interval_fsums(np.abs(x.values), iv) / (iv.hi - iv.lo)).max())
+    return float((_deviation_fsums(x, None, iv) / (iv.hi - iv.lo)).max())
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +425,16 @@ def _search(finest: Callable[[int], np.ndarray], full: Callable[[int], Sequence[
     return outcome, best[1]
 
 
-def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequence[str],
+def _density_verdicts(x: Sample, scheme: LacunaryScheme | None, axes: Sequence[str],
                       policy: VerdictPolicy) -> list[ConvergenceVerdict]:
     """Witness searches over the per-epsilon density curves of each axis in `axes`.
 
-    A witness n costs one deviation pass and one flag array of the finest
-    threshold, counted over the intervals of every axis at once. Those
+    A witness n costs one count of the finest threshold over the intervals of
+    every axis at once (see `_exceedance_counts`). Those
     densities are kept by n, so an axis that searches further reuses the
-    passes made for the others; each axis still stops at its own smallest
-    passing n. The full grid costs one more deviation pass where it is read
-    (at evaluated_n, and where `_search` needs it) and is kept by n as well.
+    counts made for the others; each axis still stops at its own smallest
+    passing n. The full grid costs one more count where it is read (at
+    evaluated_n, and where `_search` needs it) and is kept by n as well.
     The intervals of all axes are cut once, for every count of the call.
     """
     bounds = [_intervals(x.length, axis, scheme, policy.growth, policy.tail_window)
@@ -423,8 +444,7 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
 
     @cache
     def densities(n: int, grid: tuple[float, ...]) -> np.ndarray:
-        dev = deviations(x, n)
-        return np.array([_interval_sums(_exceeds(dev, e), iv) / span for e in grid])
+        return _exceedance_counts(x, n, grid, iv) / span
 
     verdicts, start = [], 0
     for axis, axis_iv in zip(axes, bounds):
@@ -439,7 +459,7 @@ def _density_verdicts(x: SeqSample, scheme: LacunaryScheme | None, axes: Sequenc
     return verdicts
 
 
-def asc_verdict(x: SeqSample, policy: VerdictPolicy = DEFAULT_POLICY) -> ConvergenceVerdict:
+def asc_verdict(x: Sample, policy: VerdictPolicy = DEFAULT_POLICY) -> ConvergenceVerdict:
     """Finite-scale verdict for arithmetic statistical convergence.
 
     For each candidate witness the prefix density curve of each epsilon in
@@ -450,7 +470,7 @@ def asc_verdict(x: SeqSample, policy: VerdictPolicy = DEFAULT_POLICY) -> Converg
     return _density_verdicts(x, None, ("prefix",), policy)[0]
 
 
-def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
+def asc_theta_verdict(x: Sample, scheme: LacunaryScheme,
                       policy: VerdictPolicy = DEFAULT_POLICY) -> ConvergenceVerdict:
     """Finite-scale verdict for lacunary (blockwise) arithmetic statistical convergence.
 
@@ -460,19 +480,19 @@ def asc_theta_verdict(x: SeqSample, scheme: LacunaryScheme,
     return _density_verdicts(x, scheme, ("block",), policy)[0]
 
 
-def asc_verdicts(x: SeqSample, scheme: LacunaryScheme, policy: VerdictPolicy = DEFAULT_POLICY
+def asc_verdicts(x: Sample, scheme: LacunaryScheme, policy: VerdictPolicy = DEFAULT_POLICY
                  ) -> tuple[ConvergenceVerdict, ConvergenceVerdict]:
     """(`asc_verdict`, `asc_theta_verdict`) of one sample, from shared passes.
 
-    Both searches count every witness from the same deviation pass, so a
-    witness tried on both axes is computed once. The prefix axis is checked
+    Both searches count every witness over the intervals of both axes at
+    once, so a witness tried on both axes is counted once. The prefix axis is checked
     first: a sample too short for both raises the prefix axis's error.
     """
     asc, theta = _density_verdicts(x, scheme, ("prefix", "block"), policy)
     return asc, theta
 
 
-def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
+def ac_theta_at_scale(x: Sample, scheme: LacunaryScheme,
                       policy: VerdictPolicy = DEFAULT_POLICY) -> MeanVerdict:
     """Finite-scale verdict for blockwise-mean arithmetic convergence.
 
@@ -485,7 +505,7 @@ def ac_theta_at_scale(x: SeqSample, scheme: LacunaryScheme,
 
     @cache
     def means(k: int) -> np.ndarray:
-        return _interval_fsums(deviations(x, k), iv) / (iv.hi - iv.lo)
+        return _deviation_fsums(x, k, iv) / (iv.hi - iv.lo)
 
     outcome, n = _search(means, lambda k: [means(k)], policy)
     return MeanVerdict(outcome, n, _tail_stats(means(n), policy.tail_window)[0], policy)

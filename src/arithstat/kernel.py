@@ -8,8 +8,11 @@ present because gcd(m, n) >= 1 makes x_1 a reachable anchor for every pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Union
+from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -29,6 +32,7 @@ __all__ = [
     "spike_support",
     "describe_spec",
     "generate",
+    "PeriodicSample",
 ]
 
 
@@ -138,8 +142,12 @@ def deviations(x: SeqSample, n: int) -> np.ndarray:
     is broadcast over the sample, row by row, with no full-length anchor array.
     """
     n = check_witness(n)
-    v = x.values
-    anchors = v[gcd_anchors(min(n, v.size), n)]  # one period
+    return _off_anchors(x.values, x.values, n)
+
+
+def _off_anchors(v: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
+    """|v[m - 1] - head[gcd(m, n) - 1]| for m = 1..v.size; head holds x_1..x_min(n, v.size)."""
+    anchors = head[gcd_anchors(min(n, v.size), n)]  # one period
     rows, rest = divmod(v.size, p := anchors.size)
     out = np.empty_like(v)
     full = rows * p
@@ -312,7 +320,30 @@ def describe_spec(spec: GeneratorSpec) -> str:
     raise TypeError(f"not a generator spec: {spec!r}")
 
 
-def _values(spec: GeneratorSpec, length: int) -> np.ndarray:
+def _leaves(spec: GeneratorSpec) -> Iterator[GeneratorSpec]:
+    """The `Constant`, `GcdPeriodic` and `SparseSpike` leaves of a spec, left to right."""
+    if isinstance(spec, Scaled):
+        yield from _leaves(spec.child)
+    elif isinstance(spec, Summed):
+        yield from _leaves(spec.left)
+        yield from _leaves(spec.right)
+    else:
+        yield spec
+
+
+def _fold(spec: GeneratorSpec, leaf: Callable[[GeneratorSpec], np.ndarray]) -> np.ndarray:
+    """The spec's values from `leaf`'s values of each leaf, scaled and summed in tree order."""
+    if isinstance(spec, Scaled):
+        return float(spec.factor) * _fold(spec.child, leaf)
+    if isinstance(spec, Summed):
+        return _fold(spec.left, leaf) + _fold(spec.right, leaf)
+    if isinstance(spec, (Constant, GcdPeriodic, SparseSpike)):
+        return leaf(spec)
+    raise TypeError(f"not a generator spec: {spec!r}")
+
+
+def _leaf_values(spec: GeneratorSpec, length: int) -> np.ndarray:
+    """A `Constant`, `GcdPeriodic` or `SparseSpike` leaf's values x_1..x_length."""
     if isinstance(spec, Constant):
         return np.full(length, float(spec.value))
     if isinstance(spec, GcdPeriodic):
@@ -322,16 +353,13 @@ def _values(spec: GeneratorSpec, length: int) -> np.ndarray:
             if d <= length:
                 lut[d - 1] = v
         return lut[gcd_anchors(length, spec.modulus)]
-    if isinstance(spec, SparseSpike):
-        vals = np.full(length, float(spec.base))
-        pts = spike_support(spec, length)
-        vals[pts - 1] = spec.height
-        return vals
-    if isinstance(spec, Scaled):
-        return float(spec.factor) * _values(spec.child, length)
-    if isinstance(spec, Summed):
-        return _values(spec.left, length) + _values(spec.right, length)
-    raise TypeError(f"not a generator spec: {spec!r}")
+    vals = np.full(length, float(spec.base))
+    vals[spike_support(spec, length) - 1] = spec.height
+    return vals
+
+
+def _values(spec: GeneratorSpec, length: int) -> np.ndarray:
+    return _fold(spec, lambda leaf: _leaf_values(leaf, length))
 
 
 def generate(spec: GeneratorSpec, length: int) -> SeqSample:
@@ -339,3 +367,194 @@ def generate(spec: GeneratorSpec, length: int) -> SeqSample:
     if int(length) != length or length < 1:
         raise ValueError(f"length must be a positive integer, got {length!r}")
     return SeqSample(_values(spec, int(length)), recipe=describe_spec(spec))
+
+
+# ---------------------------------------------------------------------------
+# Period-backed samples. Away from its spike indices, a spec's sample is
+# periodic, and so are its deviations at every witness: the counts, sums and
+# maxima over 1..T come from one period and a correction at each spike,
+# without the T values.
+# ---------------------------------------------------------------------------
+
+
+def _exact_sum(values: np.ndarray) -> Fraction:
+    """The exact sum of float values. math.fsum rounds it; the fsum of the values
+    and the roundings taken off so far rounds the rest, until no rest is left."""
+    taken: list[float] = []
+    while rest := math.fsum(chain(memoryview(values), taken)):
+        taken.append(-rest)
+    return -sum(map(Fraction, taken), Fraction(0))
+
+
+def _bare(spikes: np.ndarray, period: int, length: int) -> np.ndarray:
+    """Which residues 1..period hold some index m <= length that is not a spike."""
+    res, hits = np.unique((spikes - 1) % period, return_counts=True)
+    bare = np.ones(period, dtype=bool)
+    # residue r + 1 holds the (length - r - 1) // period + 1 indices r + 1, r + 1 + period, ...
+    bare[res[hits == (length - res - 1) // period + 1]] = False
+    return bare
+
+
+@dataclass(frozen=True, eq=False)
+class _Repeating:
+    """y_m = period[(m - 1) % p] for m = 1..length, except y_s = at_spikes[i] at s = spikes[i].
+
+    p = period.size is a period of y away from the sorted spike indices, or
+    the length itself.
+    """
+
+    period: np.ndarray
+    spikes: np.ndarray
+    at_spikes: np.ndarray
+    length: int
+
+    @cached_property
+    def _periodic_at_spikes(self) -> np.ndarray:
+        return self.period[(self.spikes - 1) % self.period.size]
+
+    def _totals(self, lo: np.ndarray, hi: np.ndarray,
+                period_total: Callable[[int, int], int | Fraction],
+                spike_changes: Iterable[int | Fraction]) -> list[int | Fraction]:
+        """The total of some quantity over each interval lo < m <= hi, exactly.
+
+        `period_total(a, b)` totals it over period[a:b], and `spike_changes`
+        holds each spike's amount less the amount of the period entry it
+        replaces. The total over (0, t], t = q p + r, is q times the period's,
+        the total of its first r entries and the changes of the spikes up to t;
+        an interval's is the difference of two such prefix totals.
+        """
+        p = self.period.size
+        bounds = np.concatenate((lo, hi)).tolist()
+        upto_cut, last = {0: 0}, 0
+        for cut in sorted({b % p for b in bounds} | {p}):
+            upto_cut[cut] = upto_cut[last] + period_total(last, cut)
+            last = cut
+        fix = list(accumulate(spike_changes, initial=0))
+        at = np.searchsorted(self.spikes, bounds, side="right").tolist()
+        upto = [b // p * upto_cut[p] + upto_cut[b % p] + fix[i] for b, i in zip(bounds, at)]
+        return [b - a for a, b in zip(upto[:lo.size], upto[lo.size:])]
+
+    def counts(self, grid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Integer counts of the m in lo < m <= hi with y_m >= e: a row per threshold e of
+        `grid`, a column per interval."""
+        rows = []
+        for e in grid:
+            flags = _exceeds(self.period, e)
+            changes = (_exceeds(self.at_spikes, e).astype(np.int64)
+                       - _exceeds(self._periodic_at_spikes, e)).tolist()
+            rows.append(self._totals(lo, hi, lambda a, b: int(np.count_nonzero(flags[a:b])),
+                                     changes))
+        return np.array(rows, dtype=np.int64)
+
+    def fsums(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """math.fsum of y_m over lo < m <= hi, per interval: the exact sum as a Fraction,
+        rounded once."""
+        changes = map(lambda a, b: Fraction(a) - Fraction(b), self.at_spikes.tolist(),
+                      self._periodic_at_spikes.tolist())
+        return np.array([float(v) for v in self._totals(
+            lo, hi, lambda a, b: _exact_sum(self.period[a:b]), changes)])
+
+    def max(self) -> float:
+        """max of y_m over m <= length."""
+        bare = _bare(self.spikes, self.period.size, self.length)
+        return float(np.maximum(self.period.max(where=bare, initial=-np.inf),
+                                self.at_spikes.max(initial=-np.inf)))
+
+
+@dataclass(frozen=True, eq=False)
+class PeriodicSample:
+    """The sample x_1..x_T of a generator spec, held as one period and its spikes.
+
+    Let bulk be the spec with each `SparseSpike` leaf at its base value. Away
+    from the spike indices (the leaves' supports up to T), x_m = bulk(m), and
+    bulk(m) depends only on m mod Q, the lcm of the spec's `GcdPeriodic`
+    moduli. So at a witness n the deviations |x_m - x_<m,n>| repeat with
+    period lcm(Q, n) away from the spikes: the anchors are among the first n
+    values. Every value is the one `generate(spec, length)` makes, bit for bit,
+    because the same float operations make it.
+
+    `bulk` holds bulk(m) for m = 1..min(Q, T), with 0 at a residue whose
+    indices up to T are all spikes, since no count reads it there;
+    `spike_values` holds x_s at each of the sorted `spikes`. Values that are
+    not finite raise ValueError, as in SeqSample.
+    """
+
+    spec: GeneratorSpec
+    length: int
+    recipe: str = field(init=False)
+    modulus: int = field(init=False)
+    bulk: np.ndarray = field(init=False, repr=False)
+    spikes: np.ndarray = field(init=False, repr=False)
+    spike_values: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if int(self.length) != self.length or self.length < 1:
+            raise ValueError(f"length must be a positive integer, got {self.length!r}")
+        length = int(self.length)
+        leaves = list(_leaves(self.spec))
+        q = math.lcm(*(leaf.modulus for leaf in leaves if isinstance(leaf, GcdPeriodic)))
+        p = min(q, length)
+        supports = {leaf: spike_support(leaf, length)
+                    for leaf in leaves if isinstance(leaf, SparseSpike)}
+        spikes = np.unique(np.concatenate([np.zeros(0, np.int64), *supports.values()]))
+
+        def leaf_values(leaf: GeneratorSpec) -> np.ndarray:
+            """The leaf's bulk values at 1..p, then its values at the spikes."""
+            if isinstance(leaf, SparseSpike):
+                at_spikes = np.where(np.isin(spikes, supports[leaf]), float(leaf.height),
+                                     float(leaf.base))
+                return np.concatenate((np.full(p, float(leaf.base)), at_spikes))
+            bulk = _leaf_values(leaf, p)
+            return np.concatenate((bulk, bulk[(spikes - 1) % p]))
+
+        values = _fold(self.spec, leaf_values)
+        bulk, spike_values = values[:p], values[p:]
+        bulk[~_bare(spikes, p, length)] = 0.0
+        for name, v in (("recipe", describe_spec(self.spec)), ("length", length), ("modulus", q),
+                        ("bulk", bulk), ("spikes", spikes),
+                        ("spike_values", spike_values)):
+            object.__setattr__(self, name, v)
+        if not math.isfinite(self.sup_abs):
+            raise ValueError("sample values must all be finite")
+
+    @cached_property
+    def _magnitudes(self) -> _Repeating:
+        return _Repeating(np.abs(self.bulk), self.spikes, np.abs(self.spike_values), self.length)
+
+    @property
+    def sup_abs(self) -> float:
+        """max over m <= T of |x_m|."""
+        return self._magnitudes.max()
+
+    def _head(self, k: int) -> np.ndarray:
+        """x_1..x_k, for k <= T."""
+        head = np.resize(self.bulk, k)
+        inside = self.spikes[:np.searchsorted(self.spikes, k, side="right")]
+        head[inside - 1] = self.spike_values[:inside.size]
+        return head
+
+    def _deviations(self, n: int) -> _Repeating:
+        """|x_m - x_<m,n>| for m = 1..T, over one period of lcm(Q, n) or all of 1..T."""
+        n = check_witness(n)
+        p = min(math.lcm(self.modulus, n), self.length)
+        head = self._head(min(n, p))
+        dev = _off_anchors(np.resize(self.bulk, p), head, n)
+        at_spikes = np.abs(self.spike_values - head[np.gcd(self.spikes, n) - 1])
+        return _Repeating(dev, self.spikes, at_spikes, self.length)
+
+    def exceedance_counts(self, n: int, grid, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Integer counts of the m in lo < m <= hi with |x_m - x_<m,n>| >= e, per interval:
+        a row per threshold e of `grid`."""
+        return self._deviations(n).counts(grid, lo, hi)
+
+    def interval_fsums(self, n: int | None, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """math.fsum of |x_m - x_<m,n>| over lo < m <= hi, per interval; of |x_m| when n is None."""
+        return (self._magnitudes if n is None else self._deviations(n)).fsums(lo, hi)
+
+    def sup_deviation(self, n: int) -> float:
+        """max over m <= T of |x_m - x_<m,n>|."""
+        return self._deviations(n).max()
+
+
+#: A sample as `density` reads it: every value held, or a spec's period and spikes.
+Sample = Union[SeqSample, PeriodicSample]

@@ -46,6 +46,31 @@ def assert_one_line_input_error(stderr: str) -> None:
     assert "Traceback" not in stderr
 
 
+#: 1e300 * 1e300, past the float range: inf
+BIG_PRODUCT = {"kind": "scaled", "factor": 1e300, "child": {"kind": "constant", "value": 1e300}}
+#: gcd_periodic(4) plus a spike at 4 whose base cancels the table except at gcd 4:
+#: there the bulk value is 1e308 + 1e308 = inf, and the spike value 1e308 - 1e308 = 0
+SPIKE_MASKED_INF = {
+    "kind": "sum",
+    "left": {"kind": "gcd_periodic", "modulus": 4,
+             "table": {"1": -1e308, "2": -1e308, "4": 1e308}},
+    "right": {"kind": "sparse_spike", "base": 1e308, "height": -1e308, "support": [4]},
+}
+#: the same with a bulk value of 1e301 at gcd 4: finite, but past MAX_MAGNITUDE
+SPIKE_MASKED_BIG = {
+    "kind": "sum",
+    "left": {"kind": "gcd_periodic", "modulus": 4, "table": {"1": 0, "2": 0, "4": 1e301}},
+    "right": {"kind": "sparse_spike", "height": -1e301, "support": [4]},
+}
+#: the generator spec of the analyze-spec-early benchmark workload
+SPEC_EARLY = {
+    "kind": "sum",
+    "left": {"kind": "gcd_periodic", "modulus": 12,
+             "table": {"1": 0.5, "2": 1, "3": 1.5, "4": 2, "6": 3, "12": 6}},
+    "right": {"kind": "sparse_spike", "height": 4, "power": 5},
+}
+
+
 def write_json(path, obj) -> str:
     path.write_text(json.dumps(obj))
     return str(path)
@@ -177,6 +202,59 @@ class TestAnalyze:
         rc = main(["analyze", "--input", str(path), "--scheme", scheme,
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("spec, length", [
+        (BIG_PRODUCT, 100),
+        # inf - inf: not a number
+        ({"kind": "sum", "left": BIG_PRODUCT, "right": {"kind": "scaled", "factor": -1,
+                                                        "child": BIG_PRODUCT}}, 100),
+        ({"kind": "constant", "value": 1e307}, 5000),
+        # only a spike reaches past the bound; the bulk stays inside it
+        ({"kind": "sum", "left": {"kind": "gcd_periodic", "modulus": 3,
+                                  "table": {"1": 0, "3": 1}},
+          "right": {"kind": "sparse_spike", "height": 1e301, "power": 3}}, 100),
+        # the bulk value at m = 0 mod 4 is inf, or 1e301 past the bound: accepted while
+        # every such m up to the length is a spike, refused from the first that is not
+        (SPIKE_MASKED_INF, 7), (SPIKE_MASKED_INF, 8), (SPIKE_MASKED_INF, 12),
+        (SPIKE_MASKED_BIG, 7), (SPIKE_MASKED_BIG, 8),
+        ({**SPIKE_MASKED_BIG, "right": {**SPIKE_MASKED_BIG["right"], "support": [4, 8]}}, 11),
+        ({**SPIKE_MASKED_BIG, "right": {**SPIKE_MASKED_BIG["right"], "support": [4, 8]}}, 12),
+        ({**SPIKE_MASKED_BIG, "right": {**SPIKE_MASKED_BIG["right"], "support": [4, 8]}}, 13),
+    ])
+    def test_spec_refusals_match_the_materialized_sample(self, tmp_path, capsys, spec, length):
+        path = write_json(tmp_path / "spec.json", spec)
+        with np.errstate(all="ignore"):
+            try:
+                values = generate(cli.parse_generator_spec(spec), length).values
+            except ValueError as e:
+                expected = f"input error: {path}: {e}\n"
+            else:
+                expected = ("" if max(values.max(), -values.min()) <= MAX_MAGNITUDE else
+                            f"input error: {path} holds a value of magnitude above "
+                            f"{MAX_MAGNITUDE:g}\n")
+        rc = main(["analyze", "--input", path, "--length", str(length), "--tail-window", "2",
+                   "--n-max", "2", "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert rc == (EXIT_INPUT if expected else EXIT_OK)
+
+    def test_spec_analysis_never_holds_the_sample(self):
+        # the period-backed sample answers every count, sum and maximum of the
+        # report; the 2**25 values alone would take 256 MiB
+        spec = cli.parse_generator_spec(json.loads(json.dumps(SPEC_EARLY)))
+        scheme = cli.parse_scheme_spec({"geometric": {"ratio": 2, "count": 21}})
+        tracemalloc.start()
+        try:
+            x = kernel.PeriodicSample(spec, MAX_LENGTH)
+            asc, theta = density.asc_verdicts(x, scheme)
+            density.ac_theta_block_means(x, scheme, theta.evaluated_n)
+            density.ntheta_norm(x, scheme)
+            density.ac_sup_deviation(x, asc.evaluated_n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (asc.witness, theta.witness) == (12, 12)
+        assert peak < 32 * 2**20
 
     def test_missing_file_is_input_error(self, tmp_path, capsys, const_spec):
         csv, scheme = tmp_path / "absent.csv", tmp_path / "absent.json"
@@ -639,6 +717,12 @@ class TestScheme:
          "got boolean"),
         ("scheme", {"points": [1, 2.5]},
          "bad scheme spec: field 'points' at index 1 must be a whole number, got 2.5"),
+        # int() would read these keys as 10 and 2: a key is ASCII digits, with a sign
+        ("analyze", {"kind": "gcd_periodic", "modulus": 10,
+                     "table": {"1": 0, "2": 1, "5": 2, "1_0": 3}},
+         'bad \'gcd_periodic\' spec: field \'table\' key "1_0" must be a whole number'),
+        ("analyze", {"kind": "gcd_periodic", "modulus": 2, "table": {"1": 0, "\u0662": 1}},
+         'bad \'gcd_periodic\' spec: field \'table\' key "\\u0662" must be a whole number'),
     ])
     def test_unknown_spec_field_is_named(self, tmp_path, capsys, command, spec, message):
         path = write_json(tmp_path / "spec.json", spec)
@@ -671,6 +755,13 @@ class TestSpecVocabulary:
         ({"kind": "scaled", "factor": -2, "child": NESTED}, kernel.Scaled(-2.0, NESTED_SPEC)),
         ({"kind": "sum", "left": NESTED, "right": {"kind": "scaled", "factor": 0, "child": NESTED}},
          kernel.Summed(NESTED_SPEC, kernel.Scaled(0.0, NESTED_SPEC))),
+        # a table key may carry leading zeros, a sign and spaces around it
+        ({"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1.5, "3": -2, "06": 4}},
+         kernel.GcdPeriodic(6, {1: 0.0, 2: 1.5, 3: -2.0, 6: 4.0})),
+        ({"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1.5, "3": -2, "+6": 4}},
+         kernel.GcdPeriodic(6, {1: 0.0, 2: 1.5, 3: -2.0, 6: 4.0})),
+        ({"kind": "gcd_periodic", "modulus": 6, "table": {"1": 0, "2": 1.5, "3": -2, " 6": 4}},
+         kernel.GcdPeriodic(6, {1: 0.0, 2: 1.5, 3: -2.0, 6: 4.0})),
     ])
     def test_generator_spec_fields(self, obj, spec):
         assert cli.parse_generator_spec(obj) == spec

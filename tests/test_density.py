@@ -10,9 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithstat.kernel import (
+    MAX_MODULUS,
     GcdPeriodic,
+    PeriodicSample,
+    Scaled,
     SeqSample,
     SparseSpike,
+    Summed,
     _flags,
     divisors,
     generate,
@@ -44,6 +48,7 @@ from arithstat.theorems import (
     check_markov_step,
     check_refinement_aggregation,
     ramp_sample,
+    random_generator_spec,
 )
 
 SPIKES_16 = generate(SparseSpike(height=1.0, support=(2, 4, 8, 16)), 16)
@@ -661,3 +666,78 @@ class TestWitnessMinimality:
                 short = verdict_at(replace(RECOUNT_POLICY, n_max=w - 1))
                 assert short.outcome is not Outcome.CONVERGENT, name
                 assert short.evaluated_n <= w - 1, name
+
+
+GCDPER_12 = GcdPeriodic(12, {1: 0.5, 2: 1.0, 3: 1.5, 4: 2.0, 6: 3.0, 12: 6.0})
+GCDPER_6 = GcdPeriodic(6, {1: 0.5, 2: 1.0, 3: 1.5, 6: 3.0})
+
+
+class TestPeriodicSample:
+    """A spec's period-backed sample answers every count, sum and maximum that
+    `density` reads exactly as the materialized sample does through SeqSample's
+    passes: at every witness up to 24 and every threshold of the default grid,
+    over the prefix checkpoints and over drawn intervals."""
+
+    @given(spec=st.integers(0, 2**32 - 1).map(
+               lambda seed: random_generator_spec(np.random.default_rng(seed))),
+           length=st.integers(1, 3000),
+           bounds=st.lists(st.integers(0, 3000), max_size=8))
+    # a rate leaf, whose support is a seeded draw
+    @example(spec=Summed(GCDPER_6, SparseSpike(height=4.0, rate=2.0, seed=11)), length=3000,
+             bounds=[100, 2048])
+    # spikes at anchor indices 1, 2, 3 and 6
+    @example(spec=Summed(GCDPER_6, SparseSpike(height=-2.5, support=(1, 2, 3, 6, 40))),
+             length=500, bounds=[2, 6, 7])
+    # Q = 77 exceeds the length, so one period of the bulk is the whole sample
+    @example(spec=Summed(GcdPeriodic(77, {1: 0.0, 7: 1.0, 11: 2.0, 77: 3.0}),
+                         SparseSpike(height=1.0, power=2)), length=60, bounds=[7, 33])
+    # a length that is no multiple of lcm(12, n) for any n > 1
+    @example(spec=Summed(GCDPER_12, SparseSpike(height=4.0, power=5)), length=1001,
+             bounds=[625, 1000])
+    @example(spec=Scaled(0.0, Summed(GCDPER_6, SparseSpike(height=3.0, power=2))), length=700,
+             bounds=[64])
+    # an explicit support that runs past the length
+    @example(spec=Summed(GCDPER_6, SparseSpike(height=1.5, support=(3, 50, 99, 5000))),
+             length=100, bounds=[50, 99])
+    @example(spec=Summed(GcdPeriodic(MAX_MODULUS, {2**k: k / 8 for k in range(41)}),
+                         SparseSpike(height=-1.0, power=3)), length=2000, bounds=[512, 1024])
+    # 1e16 among small values: a block sum rounded once differs from one made of
+    # rounded sums over pieces of the period
+    @example(spec=GcdPeriodic(12, {1: 1.25, 2: 0.75, 3: 1.25, 4: 1e16, 6: 0.25, 12: 0.5}),
+             length=59, bounds=[6, 12, 56])
+    # every index of the residue 0 mod 4 is a spike: its bulk value is never read
+    @example(spec=Summed(GcdPeriodic(4, {1: 0.0, 2: 0.5, 4: 9.0}), SparseSpike(support=(4, 8))),
+             length=11, bounds=[3, 4, 8])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_materialized_sample(self, spec, length, bounds):
+        x, y = generate(spec, length), PeriodicSample(spec, length)
+        assert (y.length, y.recipe) == (x.length, x.recipe)
+        assert y.sup_abs == max(x.values.max(), -x.values.min())
+        cuts = np.array(sorted({min(b, length) for b in bounds} | {0, length}))
+        prefix = _intervals(length, "prefix")
+        iv = density.Intervals(np.concatenate((prefix.lo, cuts[:-1], np.zeros_like(cuts[1:]))),
+                               np.concatenate((prefix.hi, cuts[1:], cuts[1:])))
+        for n in range(1, 25):
+            assert np.array_equal(density._exceedance_counts(y, n, DEFAULT_GRID, iv),
+                                  density._exceedance_counts(x, n, DEFAULT_GRID, iv))
+            assert (density._deviation_fsums(y, n, iv).tolist()
+                    == density._deviation_fsums(x, n, iv).tolist())
+            assert ac_sup_deviation(y, n) == ac_sup_deviation(x, n)
+        assert (density._deviation_fsums(y, None, iv).tolist()
+                == density._deviation_fsums(x, None, iv).tolist())
+
+    @pytest.mark.parametrize("spec", [
+        Summed(GCDPER_12, SparseSpike(height=4.0, power=5)),
+        Summed(GCDPER_6, SparseSpike(height=4.0, power=3)),
+        Summed(GCDPER_6, SparseSpike(height=4.0, rate=2.0, seed=3)),
+    ])
+    def test_analysis_matches_the_materialized_sample(self, spec):
+        scheme = make_scheme([2**j for j in range(16)])
+        x, y = generate(spec, 2**15), PeriodicSample(spec, 2**15)
+        for a, b in zip(asc_verdicts(x, scheme), asc_verdicts(y, scheme)):
+            assert a.to_dict() == b.to_dict()
+            assert a.curves() == b.curves()
+        n = asc_theta_verdict(x, scheme).evaluated_n
+        assert ac_theta_block_means(x, scheme, n) == ac_theta_block_means(y, scheme, n)
+        assert ntheta_norm(x, scheme) == ntheta_norm(y, scheme)
+        assert ac_theta_at_scale(x, scheme).to_dict() == ac_theta_at_scale(y, scheme).to_dict()
