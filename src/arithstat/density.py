@@ -23,7 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import PeriodicSample, Sample, _check_eps, _exceeds, check_witness, deviations
+from .kernel import (PeriodicSample, Sample, _check_eps, _exceeds, _running_counts,
+                     check_witness, deviations)
 from .lacunary import LacunaryScheme
 
 __all__ = [
@@ -202,19 +203,13 @@ def _intervals(length: int, axis: str, scheme: LacunaryScheme | None = None,
 def _interval_sums(flags: np.ndarray, iv: Intervals) -> np.ndarray:
     """Integer counts of the set flags[m - 1] over lo < m <= hi, for each interval (lo, hi].
 
-    The cuts split 1..max(hi) into segments, and np.add.reduceat counts each
-    segment once. An interval's count is the running segment count at hi
-    minus the one at lo. The flags are cut at the largest bound first,
-    because reduceat's last segment runs to the end of the array. reduceat
-    first copies the flags into the count type, so counts are int32 wherever
-    that is exact: half the copy of int64, which some heap layouts fault in
-    afresh on every call. Exact for integers only; float values are summed
-    per interval with math.fsum instead.
+    The counts run up to each of the cuts (see `kernel._running_counts`), and
+    an interval's count is the running count at hi minus the one at lo.
+    Exact for integers only; float values are summed per interval with
+    math.fsum instead.
     """
     cuts, lo_at, hi_at = iv.cuts
-    run = np.zeros(cuts.size, dtype=np.int64)
-    count = np.int32 if cuts[-1] < 2**31 else np.int64
-    np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=count), out=run[1:])
+    run = _running_counts(flags, cuts)
     return run[hi_at] - run[lo_at]
 
 
@@ -232,10 +227,13 @@ def _exceedance_counts(x: Sample, n: int, grid: Sequence[float], iv: Intervals) 
     """Integer counts of the m in each interval with |x_m - x_<m,n>| >= e, a row per e of `grid`.
 
     A sample holds every value and counts from one deviation pass; a spec's
-    period-backed sample counts from one period of its deviations.
+    period-backed sample counts up to each cut from one period of its
+    deviations.
     """
     if isinstance(x, PeriodicSample):
-        return x.exceedance_counts(n, grid, iv.lo, iv.hi)
+        cuts, lo_at, hi_at = iv.cuts
+        run = x.running_counts(n, grid, cuts)
+        return run[:, hi_at] - run[:, lo_at]
     dev = deviations(x, n)
     return np.array([_interval_sums(_exceeds(dev, e), iv) for e in grid])
 
