@@ -97,12 +97,16 @@ MAX_SPEC_DEPTH = 100
 #: Largest --length, and most values a CSV may hold. A witness pass over CSV
 #: values holds full-length values and deviations (8 bytes per index each),
 #: flags (1 byte) and the int32 copy of the flags that the segment count
-#: reduces (4 bytes): 21 bytes per index, 672 MiB at 2**25. That is 16 times
+#: reduces (4 bytes): 21 bytes per index. A verdict search also keeps one
+#: buffer of 8 bytes per index for its divisor sums, so a full-grid pass
+#: inside it holds 29 bytes per index, 928 MiB at 2**25. That is 16 times
 #: the longest benchmark sample (2**21). A spec's passes cover one period.
 MAX_LENGTH = 2**25
-#: Largest --n-max. Every witness costs a deviation pass over the whole
-#: sample, so a search runs n_max passes per axis: 2**16 of them take about
-#: 5 s on a 200-value sample and minutes at 2**20 points.
+#: Largest --n-max. A search over CSV values counts the finest threshold of
+#: every witness n <= N from divisor sums, each term counted once: about
+#: sum over e <= N of 2^omega(e) * T / e element work (11.5 T at N = 64),
+#: plus a few numpy calls per witness and per divisor. 2**16 witnesses take
+#: about 1 s on a 200-value sample and 4 s on 2**16 values (2 CPUs).
 MAX_N_MAX = 2**16
 #: Largest magnitude of a sample value. Deviations are then at most twice this,
 #: so an fsum of MAX_LENGTH of them stays finite.

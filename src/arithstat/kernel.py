@@ -66,6 +66,21 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
+def _square_free_divisors(n: int) -> list[tuple[int, int]]:
+    """The divisors d of n with mu(d) != 0, each with mu(d): the products of
+    distinct primes of n, with sign (-1) to the number of primes."""
+    terms, rest, p = [(1, 1)], n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            terms += [(d * p, -mu) for d, mu in terms]
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        terms += [(d * rest, -mu) for d, mu in terms]
+    return terms
+
+
 @dataclass(frozen=True, eq=False)
 class SeqSample:
     """Finite 1-indexed truncation of a real sequence; values[m - 1] holds x_m.
@@ -162,7 +177,8 @@ def _exceeds(dev: np.ndarray, eps: float) -> np.ndarray:
 
 
 def _running_counts(flags: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The count of set flags[m - 1] over 0 < m <= c, for each of the cuts 0 = c_0 < c_1 < ....
+    """The count of set flags[..., m - 1] over 0 < m <= c, along the last axis,
+    for each of the cuts 0 = c_0 < c_1 < ....
 
     np.add.reduceat counts each segment between two cuts once, and the
     counts run up to each cut. The flags are cut at the largest cut first,
@@ -171,10 +187,40 @@ def _running_counts(flags: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     that is exact: half the copy of int64, which some heap layouts fault in
     afresh on every call.
     """
-    run = np.zeros(cuts.size, dtype=np.int64)
+    run = np.zeros((*flags.shape[:-1], cuts.size), dtype=np.int64)
     count = np.int32 if cuts[-1] < 2**31 else np.int64
-    np.cumsum(np.add.reduceat(flags[:cuts[-1]], cuts[:-1], dtype=count), out=run[1:])
+    np.cumsum(np.add.reduceat(flags[..., :cuts[-1]], cuts[:-1], axis=-1, dtype=count),
+              axis=-1, out=run[..., 1:])
     return run
+
+
+def _mobius_counts(values: np.ndarray, e: int, eps: float, cuts: np.ndarray,
+                   buf: np.ndarray) -> np.ndarray:
+    """R_e(c) = sum over g | e of mu(e/g) * #{j <= c // e : |x_je - x_g| >= eps}, at each cut c.
+
+    Moebius inversion gives [gcd(m, n) = g] = sum of mu(d) over the d | n/g
+    with gd | m. So the count of m <= c with |x_m - x_<m,n>| >= eps is the
+    sum of R_e(c) over the divisors e of n, and R_e does not depend on n.
+    `values` holds x_1..x_T, the sorted cuts run from 0 to at least e, and
+    `buf` holds at least T floats. x_e, x_2e, ... are copied into its first
+    row, and each g with mu(e/g) != 0 gets a row of |x_je - x_g|, subtracted
+    as `_off_anchors` does, so every flag is the one a deviation pass makes.
+    There are 2^omega(e) <= e such rows of T // e entries, so they fit. The
+    quotients c // e repeat, and reduceat would count a repeated cut's
+    segment again, so the distinct ones are counted and each cut reads its
+    quotient's count.
+    """
+    terms = _square_free_divisors(e)
+    dev = buf[:len(terms) * (values.size // e)].reshape(len(terms), -1)
+    dev[0] = values[e - 1::e]
+    anchors = values[[e // d - 1 for d, _ in terms]]
+    np.subtract(dev[0], anchors[1:, None], out=dev[1:])
+    np.subtract(dev[0], anchors[0], out=dev[0])
+    quotients = cuts // e
+    step = quotients[1:] != quotients[:-1]
+    run = _running_counts(_exceeds(np.abs(dev, out=dev), eps),
+                          quotients[np.concatenate(([True], step))])
+    return (np.array([mu for _, mu in terms]) @ run)[np.concatenate(([0], np.cumsum(step)))]
 
 
 def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
@@ -191,6 +237,8 @@ def _flags(x: SeqSample, n: int, eps: float) -> np.ndarray:
 #: Largest gcd_periodic modulus. Its table is checked against divisors(),
 #: which trial-divides up to the square root: 2**20 steps at this limit.
 MAX_MODULUS = 2**40
+#: Indices a `rate` spike rule draws for at a time.
+_DRAW_CHUNK = 2**16
 
 
 @dataclass(frozen=True)
@@ -304,10 +352,13 @@ def spike_support(spec: SparseSpike, length: int) -> np.ndarray:
     if spec.support is not None:
         return np.array([s for s in spec.support if s <= length], dtype=np.int64)
     if spec.rate is not None:
-        m = np.arange(2, length + 1, dtype=np.int64)
-        probs = np.minimum(1.0, spec.rate / m)
-        draws = np.random.default_rng(spec.seed).random(m.size)
-        return m[draws < probs]
+        # drawn a chunk of indices at a time: successive draws continue one
+        # stream, so the support is the one a single draw for 2..length makes
+        rng, kept = np.random.default_rng(spec.seed), [np.zeros(0, np.int64)]
+        for start in range(2, length + 1, _DRAW_CHUNK):
+            m = np.arange(start, min(start + _DRAW_CHUNK, length + 1), dtype=np.int64)
+            kept.append(m[rng.random(m.size) < np.minimum(1.0, spec.rate / m)])
+        return np.concatenate(kept)
     pts, v = [], spec.power
     while v <= length:
         pts.append(v)

@@ -17,7 +17,9 @@ from arithstat.kernel import (
     SeqSample,
     SparseSpike,
     Summed,
+    _exceeds,
     _flags,
+    deviations,
     divisors,
     generate,
 )
@@ -38,7 +40,10 @@ from arithstat.density import (
     density_curve,
     ntheta_norm,
     prefix_checkpoints,
+    Intervals,
+    _divisor_sum_counts,
     _interval_fsums,
+    _interval_sums,
     _intervals,
 )
 from arithstat.lacunary import make_scheme, refinement_map
@@ -530,6 +535,31 @@ class TestFinestThreshold:
             assert (verdict.witness, verdict.evaluated_n) == (None, 1)
             assert [t for _, t in verdict.tail_densities] == pytest.approx(tails, abs=1e-12)
 
+    @given(vals=st.lists(st.integers(-16, 16).map(lambda k: k / 8), min_size=1, max_size=300),
+           points=st.sets(st.integers(1, 320), min_size=2, max_size=30),
+           axes=st.sampled_from(("prefix", "block", "both")),
+           growth=st.sampled_from((1.1, 1.3, 2.0)), past=st.floats(0, 2),
+           eps=st.sampled_from((0.125, 0.5, 1.0, 2.0)))
+    @settings(max_examples=80, deadline=None)
+    def test_divisor_sums_equal_the_deviation_pass(self, vals, points, axes, growth, past, eps):
+        """The Moebius-inverted counts of every witness n <= N, N up to twice
+        the length, equal the counts of one deviation pass, over prefixes,
+        blocks (whose last cut may lie below n) or both. The values and
+        thresholds are multiples of 1/8, so deviations tie with eps."""
+        x = SeqSample(vals)
+        scheme = make_scheme(sorted(points))
+        if not scheme.blocks_within(x.length):
+            axes = "prefix"
+        iv = _intervals(x.length, "prefix" if axes == "both" else axes, scheme, growth)
+        if axes == "both":
+            blocks = _intervals(x.length, "block", scheme)
+            iv = Intervals(np.concatenate((iv.lo, blocks.lo)), np.concatenate((iv.hi, blocks.hi)))
+        n_max = 1 + int(past * x.length)
+        counts = _divisor_sum_counts(x, eps, iv, n_max)
+        for n in range(1, n_max + 1):
+            want = _interval_sums(_exceeds(deviations(x, n), eps), iv)
+            assert counts(n).tolist() == want.tolist()
+
     def test_search_counts_the_full_grid_only_where_read(self, monkeypatch):
         calls = {"deviations": 0, "_interval_sums": 0, "unique": 0}
         for module, name in ((density, "deviations"), (density, "_interval_sums"),
@@ -541,9 +571,10 @@ class TestFinestThreshold:
         noise = np.random.default_rng(1).integers(-64, 65, size=4096) / 8.0
         verdicts = asc_verdicts(SeqSample(noise), make_scheme(2**j for j in range(13)))
         assert [v.witness for v in verdicts] == [None, None]
-        n_max, grid = DEFAULT_POLICY.n_max, DEFAULT_POLICY.grid
-        assert calls["deviations"] <= n_max + 3
-        assert calls["_interval_sums"] <= n_max + 3 * len(grid)
+        grid = DEFAULT_POLICY.grid
+        # the search reads divisor sums; deviation passes make only full-grid reads
+        assert calls["deviations"] <= 3
+        assert calls["_interval_sums"] <= 3 * len(grid)
         # the intervals of both axes are cut once for every count of the call
         assert calls["unique"] == 1
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arithstat import kernel
 from arithstat.kernel import (
     MAX_MODULUS,
     Constant,
@@ -18,6 +19,7 @@ from arithstat.kernel import (
     deviation,
     deviations,
     divisors,
+    _square_free_divisors,
     gcd_anchors,
     check_witness,
     generate,
@@ -37,6 +39,20 @@ def gcd_oracle(m: int, n: int) -> int:
 
 def divisors_oracle(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def mobius_oracle(n: int) -> int:
+    """mu(n) from n's prime exponents, each found by dividing out its prime."""
+    primes, p = 0, 2
+    while n > 1:
+        power = 0
+        while n % p == 0:
+            n, power = n // p, power + 1
+        if power > 1:
+            return 0
+        primes += power
+        p += 1
+    return (-1) ** primes
 
 
 # Values on the 1/8 grid: every sum, difference, and small scaling below is
@@ -108,6 +124,13 @@ class TestDivisors:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             divisors(0)
+
+    def test_square_free_divisors_carry_mobius(self):
+        """Every divisor d of n with mu(d) != 0 is listed once, with mu(d)."""
+        mu = [0] + [mobius_oracle(d) for d in range(1, 5001)]
+        for n in range(1, 5001):
+            assert sorted(_square_free_divisors(n)) == [
+                (d, mu[d]) for d in divisors(n) if mu[d]]
 
 
 class TestSeqSample:
@@ -249,6 +272,18 @@ class TestSparseSpike:
     def test_values_spike_over_base(self):
         x = generate(SparseSpike(height=3.0, base=-1.0, support=(2, 5)), 6)
         assert list(x.values) == [-1.0, 3.0, -1.0, -1.0, 3.0, -1.0]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000, 2**16])
+    def test_rate_rule_draws_in_chunks_as_in_one_draw(self, monkeypatch, chunk):
+        """Chunked draws continue one stream: the support across chunk
+        boundaries, a last short chunk included, is that of one draw."""
+        monkeypatch.setattr(kernel, "_DRAW_CHUNK", chunk)
+        for length in (1, 2, 3, 999, 5001):
+            m = np.arange(2, length + 1, dtype=np.int64)
+            one_draw = m[np.random.default_rng(7).random(m.size) < np.minimum(1.0, 3.0 / m)]
+            support = spike_support(SparseSpike(rate=3.0, seed=7), length)
+            assert support.dtype == np.int64
+            assert support.tolist() == one_draw.tolist()
 
     def test_index_one_never_spiked_by_power_or_rate(self):
         assert 1 not in spike_support(SparseSpike(power=2), 100)
